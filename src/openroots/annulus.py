@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .bounds import reich_radius
 from .errors import BracketFailure, ConvergenceFailure, InterleavingViolation
@@ -20,6 +19,9 @@ from .polycore import eval_poly
 
 P_KIND = "P"
 Q_KIND = "Q"
+
+# relative part of the bisection stop rule, 4 * machine epsilon
+_BISECT_RTOL = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -89,6 +91,26 @@ def annulus_radius(p):
     return R
 
 
+def _bisect(f, lo, hi, flo):
+    # Sign-change bisection on [lo, hi] with f(lo) = flo: the offset from
+    # lo halves each step, lo moves up while the sign matches flo, and the
+    # midpoint is returned once the half-step drops below
+    # 1e-12 + 4 eps |mid| (100 steps at most).  This is the classic
+    # bisection of the numerical libraries step for step, so the angles
+    # match theirs to the bit (checked against one in the tests).
+    step = hi - lo
+    for _ in range(100):
+        step *= 0.5
+        mid = lo + step
+        fmid = f(mid)
+        if fmid * flo >= 0:
+            lo = mid
+        if fmid == 0 or abs(step) < 1e-12 + _BISECT_RTOL * abs(mid):
+            return mid
+    raise ConvergenceFailure(
+        f"node bisection on [{lo:.6f}, {hi:.6f}] did not converge")
+
+
 def boundary_nodes(p, R):
     """Locate the 2n P-nodes and 2n Q-nodes on |z| = R by bisection.
 
@@ -120,7 +142,7 @@ def boundary_nodes(p, R):
                 raise BracketFailure(
                     f"no sign change for {kind}-node {i} in "
                     f"[{lo:.6f}, {hi:.6f}] at R = {R:.6g}")
-            theta = optimize.bisect(field, lo, hi, xtol=1e-12)
+            theta = _bisect(field, lo, hi, flo)
             nodes.append(BoundaryNode(
                 kind=kind,
                 index=i,

@@ -4,7 +4,6 @@ import cmath
 import math
 
 import numpy as np
-from scipy import optimize
 
 from .errors import DegreeZero, NonzeroConstantTerm, ZeroPolynomial
 from .polycore import eval_poly
@@ -74,11 +73,23 @@ def boundary_min(p, r, samples=None):
     fc = float(vals[(i + 1) % m])
     if d < fa and d < fc:
         f = lambda t: abs(eval_poly(p, r * cmath.exp(1j * t)))
-        try:
-            _, fval, _ = optimize.golden(
-                f, brack=(theta[i] - step, theta[i], theta[i] + step),
-                full_output=True)
-            d = min(d, float(fval))
-        except ValueError:
-            pass  # flat-to-rounding bracket: the sample min is exact enough
+        d = min(d, _golden_min(f, theta[i] - step, theta[i] + step))
     return d, d / 2.0
+
+
+def _golden_min(f, a, c):
+    # Golden-section search on [a, c]; 60 steps shrink the bracket by
+    # 0.618^60 ~ 3e-13, below any angle resolution that matters here.
+    inv = 0.5 * (math.sqrt(5.0) - 1.0)
+    x1, x2 = c - inv * (c - a), a + inv * (c - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(60):
+        if f2 < f1:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + inv * (c - a)
+            f2 = f(x2)
+        else:
+            c, x2, f2 = x2, x1, f1
+            x1 = c - inv * (c - a)
+            f1 = f(x1)
+    return min(f1, f2)

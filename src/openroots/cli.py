@@ -51,8 +51,6 @@ def build_parser():
                     help="write the annulus/arc diagram (gauss only)")
     ap.add_argument("--out", metavar="PATH",
                     help="write the JSON report here instead of stdout")
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="trace arcs with N workers (gauss only)")
     ap.add_argument("--seed", type=int, default=0,
                     help="seed for randomized tie-breaks (default 0)")
     ap.add_argument("--verbose", action="store_true",
@@ -155,8 +153,7 @@ def run(argv):
             roots = all_roots(p, args.tol)
             report["roots"] = [_root_entry(p, z) for z in roots]
         else:
-            pipe = run_pipeline(p, tol=args.tol, seed=args.seed,
-                                jobs=args.jobs)
+            pipe = run_pipeline(p, tol=args.tol, seed=args.seed)
             report["roots"] = [_root_entry(p, pipe.root)]
             report["R"] = pipe.nodes.R
             report["eps"] = [pipe.eps1, pipe.eps2]

@@ -16,7 +16,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import annulus as annulus_mod
 from .annulus import P_KIND, Q_KIND
@@ -33,6 +32,7 @@ from .tracer import (
     FIELD_H,
     TraceControl,
     compute_matchings,
+    index_runs,
     perturb_regular,
 )
 
@@ -270,12 +270,35 @@ def miranda_test_nd(funcs, box, grid_points=9):
     return False
 
 
-def _closest_approach(arc_a, arc_b):
-    tree = cKDTree(arc_b.samples)
-    dists, idx = tree.query(arc_a.samples)
-    i = int(np.argmin(dists))
-    j = int(idx[i])
-    return i, j, float(dists[i])
+def _closest_approach(arc_a, arc_b, chunk=1 << 18):
+    # Nearest sample pair (i in arc_a, j in arc_b) and its distance; ties
+    # go to the lowest i, then the lowest j.  Some 64 x 64 strided
+    # samples give a pair at distance u, so only pairs whose x differ by
+    # at most u can be nearer: for each i, one run of arc_b sorted by x
+    # (u is widened past the rounding of the distances).  Rows of arc_a
+    # go in blocks of at most ``chunk`` candidate pairs.
+    a, b = arc_a.samples, arc_b.samples
+    sa, sb = a[::len(a) // 64 + 1], b[::len(b) // 64 + 1]
+    dx = sa[:, 0, None] - sb[None, :, 0]
+    dy = sa[:, 1, None] - sb[None, :, 1]
+    u = math.sqrt(float(np.min(dx * dx + dy * dy))) * (1.0 + 1e-9)
+    order = np.argsort(b[:, 0], kind="stable")
+    bx = b[order, 0]
+    lo = np.searchsorted(bx, a[:, 0] - u, "left")
+    hi = np.searchsorted(bx, a[:, 0] + u, "right")
+    best = (math.inf, 0, 0)
+    rows = max(1, chunk // len(b))
+    for s in range(0, len(a), rows):
+        r, pos = index_runs(lo[s:s + rows], hi[s:s + rows])
+        i, j = r + s, order[pos]
+        d2 = (a[i, 0] - b[j, 0]) ** 2 + (a[i, 1] - b[j, 1]) ** 2
+        if len(d2) == 0 or d2.min() >= best[0]:
+            continue
+        tied = np.flatnonzero(d2 == d2.min())  # rows ascend with i
+        first = tied[i[tied] == i[tied[0]]]
+        best = (float(d2[tied[0]]), int(i[tied[0]]), int(j[first].min()))
+    d2, i, j = best
+    return i, j, math.sqrt(d2)
 
 
 def _local_spacing(samples, i):
@@ -486,7 +509,7 @@ def _arc_for(arcs, field, pair):
     raise LocalizationFailure(f"no {field}-arc with endpoints {sorted(want)}")
 
 
-def run_pipeline(p, tol=1e-9, seed=0, jobs=1):
+def run_pipeline(p, tol=1e-9, seed=0):
     """Perturb, find boundary nodes, trace, match, localize, polish.
 
     Internal tolerances derive from tol: critical-point residual
@@ -501,7 +524,7 @@ def run_pipeline(p, tol=1e-9, seed=0, jobs=1):
         ns = annulus_mod.locate_boundary_nodes(prob.shifted())
     with _stage("trace", timings):
         ctrl = TraceControl.for_disc(ns.R, prob.base.degree, seed=seed)
-        match_p, match_q, arcs = compute_matchings(prob, ns, ctrl, jobs=jobs)
+        match_p, match_q, arcs = compute_matchings(prob, ns, ctrl)
     with _stage("match", timings):
         sep = find_separated_pair(match_p, match_q, prob.base.degree)
         sigma = (sep.sigma_index, match_p.pairs[sep.sigma_index])
@@ -527,6 +550,6 @@ def run_pipeline(p, tol=1e-9, seed=0, jobs=1):
     )
 
 
-def gauss_root(p, tol=1e-9, seed=0, jobs=1):
+def gauss_root(p, tol=1e-9, seed=0):
     """One root of p with |p(z)| <= tol, by the full curve pipeline."""
-    return run_pipeline(p, tol=tol, seed=seed, jobs=jobs).root
+    return run_pipeline(p, tol=tol, seed=seed).root

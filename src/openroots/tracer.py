@@ -16,11 +16,9 @@ merging of distinct components) are audited on the samples instead.
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .annulus import P_KIND, Q_KIND
 from .errors import (
@@ -128,12 +126,17 @@ class TraceControl:
         )
 
 
-def _field_eval(prob, field, x, y):
-    # Value and gradient of the selected shifted component at (x, y).
-    w, d = eval_with_derivative(prob.base, complex(x, y))
+def _field_parts(prob, field, w, d):
+    # Value and gradient of the selected shifted component from f and f'.
     if field == FIELD_G:
         return w.real - prob.eps1, d.real, -d.imag
     return w.imag - prob.eps2, d.imag, d.real
+
+
+def _field_eval(prob, field, x, y):
+    # Value and gradient of the selected shifted component at (x, y).
+    w, d = eval_with_derivative(prob.base, complex(x, y))
+    return _field_parts(prob, field, w, d)
 
 
 def perturb_regular(p, tol=1e-9):
@@ -173,7 +176,8 @@ def _pick_eps(vals, delta0):
 
 def _corrector(prob, field, x0, y0, px, py, h, ctrl):
     # Damped Newton along the gradient from the predicted point.
-    # Returns (x, y, tangent_x, tangent_y, iters) or None on failure.
+    # Returns (x, y, tangent_x, tangent_y, iters, jet) or None on failure;
+    # jet is eval_jet at the accepted point, reused by the next step.
     u, v = px, py
     for it in range(5):
         val, fx, fy = _field_eval(prob, field, u, v)
@@ -193,7 +197,8 @@ def _corrector(prob, field, x0, y0, px, py, h, ctrl):
         if math.hypot(u - px, v - py) > 0.75 * h:
             return None  # corrector wandered; risk of branch jumping
         if nrm <= ctrl.pos_tol:
-            val, fx, fy = _field_eval(prob, field, u, v)
+            jet = eval_jet(prob.base, complex(u, v))
+            val, fx, fy = _field_parts(prob, field, jet[0], jet[1])
             if abs(val) > ctrl.on_curve_tol:
                 return None
             gn = math.hypot(fx, fy)
@@ -209,7 +214,7 @@ def _corrector(prob, field, x0, y0, px, py, h, ctrl):
             mgn = math.hypot(mfx, mfy)
             if mgn > 0.0 and abs(mval) / mgn > 0.15 * chord + 2.0 * ctrl.pos_tol:
                 return None
-            return u, v, -fy / gn, fx / gn, it + 1
+            return u, v, -fy / gn, fx / gn, it + 1, jet
     return None
 
 
@@ -278,7 +283,8 @@ def trace_curve(prob, field, start, nodes, ctrl=None):
 
     x = R * math.cos(start.angle)
     y = R * math.sin(start.angle)
-    _, fx, fy = _field_eval(prob, field, x, y)
+    jet = eval_jet(prob.base, complex(x, y))
+    _, fx, fy = _field_parts(prob, field, jet[0], jet[1])
     gn = math.hypot(fx, fy)
     if gn == 0.0:
         raise StepUnderflow("vanishing gradient at the start node")
@@ -297,7 +303,7 @@ def trace_curve(prob, field, start, nodes, ctrl=None):
         # conformal feature scale |f'| / |f''| caps the step: level-curve
         # branches only crowd together around critical points, and there
         # this ratio collapses, forcing steps finer than the branch gap
-        _, dfz, d2fz = eval_jet(prob.base, complex(x, y))
+        _, dfz, d2fz = jet
         if d2fz != 0.0:
             h_eff = max(min(h, 0.25 * abs(dfz) / abs(d2fz)), ctrl.min_step)
         else:
@@ -305,7 +311,7 @@ def trace_curve(prob, field, start, nodes, ctrl=None):
         hit = _corrector(prob, field, x, y, x + h_eff * tx, y + h_eff * ty,
                          h_eff, ctrl)
         if hit is not None:
-            nx, ny, ntx, nty, iters = hit
+            nx, ny, ntx, nty, iters, njet = hit
             if ntx * tx + nty * ty < 0.0:
                 ntx, nty = -ntx, -nty
             if ntx * tx + nty * ty < cos_cap:
@@ -326,7 +332,7 @@ def trace_curve(prob, field, start, nodes, ctrl=None):
                 landing = cand
                 break
         total_len += math.hypot(nx - x, ny - y)
-        x, y, tx, ty = nx, ny, ntx, nty
+        x, y, tx, ty, jet = nx, ny, ntx, nty, njet
         samples.append((x, y))
         if rr < R - 2.0 * ctrl.boundary_margin:
             entered = True
@@ -376,21 +382,65 @@ def _trace_kind(prob, nodes, kind, ctrl):
     return Matching(pairs=tuple(pairs)), arcs
 
 
-def _trace_kind_parallel(prob, nodes, kind, ctrl, jobs):
-    # Trace from every node concurrently; each component is found twice,
-    # once from each end, which doubles as a full reverse-trace audit.
-    family = nodes.of_kind(kind)
-    field = _FIELD_FOR_KIND[kind]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(
-            lambda nd: trace_curve(prob, field, nd, nodes, ctrl), family))
-    pairs = [arc.end_node.index for arc in results]
-    for i, j in enumerate(pairs):
-        if j == i or pairs[j] != i:
-            raise MatchingInconsistency(
-                f"forward/backward traces disagree at {kind}-node {i}")
-    arcs = [arc for i, arc in enumerate(results) if i < pairs[i]]
-    return Matching(pairs=tuple(pairs)), arcs
+def index_runs(lo, hi):
+    """Flatten the index ranges [lo[r], hi[r]) of integer arrays lo, hi:
+    returns (r, index) arrays with one entry per index, in row order."""
+    counts = hi - lo
+    rows = np.repeat(np.arange(len(lo)), counts)
+    shift = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return rows, np.arange(len(rows)) + shift
+
+
+def _close_pairs(arcs, tol):
+    """Near sample pairs between arcs, found on a uniform grid.
+
+    ``arcs`` is a list of (m, 2) sample arrays.  For each sample k of arc
+    j and each arc i < j whose nearest sample to it lies closer than
+    ``tol``, one row (i, j, k, dist, m): m is the index in arc i of that
+    nearest sample, the lowest one on ties.  Rows come sorted by
+    (i, j, k).  Cells are a hair wider than ``tol`` (so rounding in
+    x / cell cannot put two points closer than tol two cells apart),
+    which makes the 3 x 3 cell neighbourhood an exact search.
+    """
+    empty = np.zeros(0, dtype=np.int64)
+    if len(arcs) < 2:
+        return empty, empty, empty, np.zeros(0), empty
+    pts = np.concatenate(arcs)
+    sizes = [len(a) for a in arcs]
+    arc = np.repeat(np.arange(len(arcs)), sizes)
+    local = np.concatenate([np.arange(m) for m in sizes])
+    cells = np.floor(pts / (tol * (1.0 + 1e-6))).astype(np.int64)
+    cells -= cells.min(axis=0) - 1  # >= 1, so every neighbour key is >= 0
+    width = int(cells[:, 1].max()) + 2
+    cell = cells[:, 0] * width + cells[:, 1]
+    # sort by (cell, arc): the samples of arcs < j in one cell form a run
+    key = cell * len(arcs) + arc
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+
+    src_parts, cand_parts, dist_parts = [], [], []
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            first = (cell + dx * width + dy) * len(arcs)
+            src, pos = index_runs(np.searchsorted(sorted_key, first),
+                                  np.searchsorted(sorted_key, first + arc))
+            cand = order[pos]
+            diff = pts[src] - pts[cand]
+            dist = np.sqrt(diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1])
+            close = dist < tol
+            src_parts.append(src[close])
+            cand_parts.append(cand[close])
+            dist_parts.append(dist[close])
+    src = np.concatenate(src_parts)
+    cand = np.concatenate(cand_parts)
+    dist = np.concatenate(dist_parts)
+    # per (i, j, k) the nearest candidate, lowest sample index on ties
+    rank = np.lexsort((local[cand], dist, local[src], arc[src], arc[cand]))
+    i, j, k = arc[cand][rank], arc[src][rank], local[src][rank]
+    head = np.ones(len(rank), dtype=bool)
+    head[1:] = (i[1:] != i[:-1]) | (j[1:] != j[:-1]) | (k[1:] != k[:-1])
+    rank = rank[head]
+    return i[head], j[head], k[head], dist[rank], local[cand][rank]
 
 
 def separation_audit(arcs, prob, ctrl):
@@ -399,23 +449,21 @@ def separation_audit(arcs, prob, ctrl):
     conjugate family, not a merger).  Raises MatchingInconsistency."""
     other = {FIELD_G: FIELD_H, FIELD_H: FIELD_G}
     for field in (FIELD_G, FIELD_H):
-        group = [a for a in arcs if a.field == field]
-        for i in range(len(group)):
-            tree = cKDTree(group[i].samples)
-            for j in range(i + 1, len(group)):
-                dists, idx = tree.query(group[j].samples)
-                close = np.flatnonzero(dists < ctrl.merge_tol)
-                for k in close:
-                    mid = 0.5 * (group[j].samples[k] + group[i].samples[idx[k]])
-                    oval, _, _ = _field_eval(prob, other[field], mid[0], mid[1])
-                    if abs(oval) <= ctrl.other_floor:
-                        raise MatchingInconsistency(
-                            f"{field}-arcs {i} and {j} within "
-                            f"{dists[close].min():.3e} of each other near "
-                            f"({mid[0]:.6g}, {mid[1]:.6g})")
+        group = [a.samples for a in arcs if a.field == field]
+        i, j, k, dist, m = _close_pairs(group, ctrl.merge_tol)
+        for row in range(len(i)):
+            a, b = int(i[row]), int(j[row])
+            mid = 0.5 * (group[b][k[row]] + group[a][m[row]])
+            oval, _, _ = _field_eval(prob, other[field], mid[0], mid[1])
+            if abs(oval) <= ctrl.other_floor:
+                pair = (i == a) & (j == b)
+                raise MatchingInconsistency(
+                    f"{field}-arcs {a} and {b} within "
+                    f"{dist[pair].min():.3e} of each other near "
+                    f"({mid[0]:.6g}, {mid[1]:.6g})")
 
 
-def compute_matchings(prob, ns, ctrl=None, jobs=1):
+def compute_matchings(prob, ns, ctrl=None):
     """Trace every component of both families inside the disc.
 
     Returns (matchP, matchQ, arcs) with exactly n P-arcs and n Q-arcs.
@@ -424,27 +472,20 @@ def compute_matchings(prob, ns, ctrl=None, jobs=1):
     """
     if ctrl is None:
         ctrl = TraceControl.for_disc(ns.R, prob.base.degree)
-    if jobs > 1:
-        match_p, arcs_p = _trace_kind_parallel(prob, ns, P_KIND, ctrl, jobs)
-        match_q, arcs_q = _trace_kind_parallel(prob, ns, Q_KIND, ctrl, jobs)
-        audited = True
-    else:
-        match_p, arcs_p = _trace_kind(prob, ns, P_KIND, ctrl)
-        match_q, arcs_q = _trace_kind(prob, ns, Q_KIND, ctrl)
-        audited = False
+    match_p, arcs_p = _trace_kind(prob, ns, P_KIND, ctrl)
+    match_q, arcs_q = _trace_kind(prob, ns, Q_KIND, ctrl)
     arcs = arcs_p + arcs_q
 
     separation_audit(arcs, prob, ctrl)
 
-    if not audited:
-        rng = random.Random(ctrl.seed)
-        for group in (arcs_p, arcs_q):
-            arc = group[rng.randrange(len(group))]
-            back = trace_curve(prob, arc.field, arc.end_node, ns, ctrl)
-            if back.end_node.index != arc.start_node.index:
-                raise MatchingInconsistency(
-                    f"reverse trace of a {arc.field}-arc reached node "
-                    f"{back.end_node.index}, expected {arc.start_node.index}")
+    rng = random.Random(ctrl.seed)
+    for group in (arcs_p, arcs_q):
+        arc = group[rng.randrange(len(group))]
+        back = trace_curve(prob, arc.field, arc.end_node, ns, ctrl)
+        if back.end_node.index != arc.start_node.index:
+            raise MatchingInconsistency(
+                f"reverse trace of a {arc.field}-arc reached node "
+                f"{back.end_node.index}, expected {arc.start_node.index}")
     return match_p, match_q, arcs
 
 

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import optimize
 
 from conftest import random_poly
 from openroots import (
@@ -14,13 +13,19 @@ from openroots import (
     locate_boundary_nodes,
     reich_radius,
 )
-from openroots.errors import BracketFailure, InterleavingViolation
+from openroots.annulus import _bisect
+from openroots.errors import (
+    BracketFailure,
+    ConvergenceFailure,
+    InterleavingViolation,
+)
 
 ONE_DEGREE = math.pi / 180.0
 
 
 def dense_zero_angles(p, R, component, samples=360_000):
     """Independent oracle: bracket every sign change of Re/Im f on |z| = R."""
+    optimize = pytest.importorskip("scipy.optimize")
     theta = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
     desc = np.array(p.monic().coeffs[::-1], dtype=complex)
     vals = np.polyval(desc, R * np.exp(1j * theta))
@@ -97,6 +102,31 @@ class TestBoundaryNodes:
     def test_bracket_failure_at_bad_radius(self):
         with pytest.raises(BracketFailure):
             boundary_nodes(Poly([0, 0, 10, 1]), 1.0)
+
+    def test_bisection_matches_scipy_bitwise(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(52)
+        polys = [Poly([-1, 0, 0, 1]), Poly([1, 1, 1]),
+                 random_poly(rng, 5), random_poly(rng, 8, monic=False)]
+        for p in polys:
+            ns = locate_boundary_nodes(p)
+            q, n, R = p.monic(), p.degree, ns.R
+            for nd in ns.nodes:
+                part = (lambda w: w.real) if nd.kind == "P" else \
+                    (lambda w: w.imag)
+                field = lambda t, part=part: part(eval_poly(
+                    q, R * complex(math.cos(t), math.sin(t))))
+                lo = nd.asymptote - math.pi / (4 * n)
+                hi = nd.asymptote + math.pi / (4 * n)
+                want = optimize.bisect(field, lo, hi, xtol=1e-12)
+                assert _bisect(field, lo, hi, field(lo)) == want
+                assert nd.deviation == want - nd.asymptote
+                assert nd.angle == want % (2.0 * math.pi)
+
+    def test_bisection_budget_exhausted(self):
+        # a 2e30-wide bracket cannot shrink below 1e-12 in 100 halvings
+        with pytest.raises(ConvergenceFailure):
+            _bisect(lambda t: t - 1e-3, -1e30, 1e30, -1e30)
 
 
 class TestInterleaving:

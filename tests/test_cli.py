@@ -12,6 +12,17 @@ def run_cli(args):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+class TestImports:
+    def test_no_scipy_at_runtime(self):
+        code = ("import sys, openroots, openroots.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.')))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
 class TestParsePoly:
     def test_descending_reals(self):
         p = parse_poly("1 0 0 -1")

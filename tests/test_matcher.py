@@ -18,6 +18,7 @@ from openroots import (
     run_pipeline,
 )
 from openroots.errors import InvalidMatching
+from openroots.matcher import _closest_approach
 from openroots.tracer import Matching
 
 
@@ -200,6 +201,51 @@ class TestLocateCrossing:
         prob, arc_g, arc_h = pipeline_arcs(Poly([0, 1]))
         with pytest.raises(ValueError):
             locate_crossing(prob, arc_h, arc_g, 1e-10)
+
+
+class Polyline:
+    def __init__(self, samples):
+        self.samples = np.asarray(samples, dtype=float)
+
+
+def brute_closest(a, b):
+    # every distance; row-major argmin gives the lowest i, then lowest j
+    diff = a[:, None, :] - b[None, :, :]
+    d2 = diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1]
+    i, j = divmod(int(np.argmin(d2)), len(b))
+    return i, j, math.sqrt(d2[i, j])
+
+
+class TestClosestApproach:
+    def test_crossing_polylines_against_brute_force(self):
+        rng = np.random.default_rng(81)
+        for _ in range(20):
+            m, k = rng.integers(2, 900, size=2)
+            t = np.linspace(-1.0, 1.0, m)[:, None]
+            s = np.linspace(-1.0, 1.0, k)[:, None]
+            a = t * rng.normal(size=2) + 0.01 * rng.normal(size=(m, 2))
+            b = s * rng.normal(size=2) + 0.01 * rng.normal(size=(k, 2))
+            want = brute_closest(a, b)
+            assert _closest_approach(Polyline(a), Polyline(b)) == want
+            assert _closest_approach(Polyline(a), Polyline(b),
+                                     chunk=1000) == want
+
+    def test_ties_go_to_lowest_indices(self):
+        # a[2] has two nearest b samples, b[2] first in x order, and
+        # a[2] and a[4] tie for the pair distance
+        a = np.array([[-2.0, -2.0], [-1.0, -1.0], [0.0, 0.5],
+                      [2.0, 2.0], [0.0, 0.5]])
+        b = np.array([[-2.0, 2.0], [1.0, 0.5], [-1.0, 0.5], [2.0, -2.0]])
+        assert _closest_approach(Polyline(a), Polyline(b)) == \
+            brute_closest(a, b) == (2, 1, 1.0)
+        for chunk in (1, 4, 8):
+            assert _closest_approach(Polyline(a), Polyline(b),
+                                     chunk=chunk) == (2, 1, 1.0)
+
+    def test_shared_sample(self):
+        a = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+        b = np.array([[2.0, 0.0], [1.0, 1.0], [0.0, 2.0]])
+        assert _closest_approach(Polyline(a), Polyline(b)) == (1, 1, 0.0)
 
 
 class TestGaussRoot:

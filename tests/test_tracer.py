@@ -18,6 +18,7 @@ from openroots import (
 from openroots.tracer import (
     PerturbedProblem,
     TraceControl,
+    _close_pairs,
     direction_change_counts,
 )
 
@@ -214,15 +215,6 @@ class TestComputeMatchings:
                             continue
                         assert abs(dx / dy - (-fy / fx)) <= 1e-2 * (1 + abs(fy / fx))
 
-    def test_parallel_matches_sequential(self):
-        for p in (Poly([-1, 0, 0, 1]), matching_suite()[4]):
-            prob = perturb_regular(p)
-            ns = locate_boundary_nodes(prob.shifted())
-            mp1, mq1, arcs1 = compute_matchings(prob, ns, jobs=1)
-            mp2, mq2, arcs2 = compute_matchings(prob, ns, jobs=2)
-            assert mp1.pairs == mp2.pairs and mq1.pairs == mq2.pairs
-            assert len(arcs1) == len(arcs2)
-
     def test_on_curve_residual_scaled(self):
         p = matching_suite()[4]
         prob = perturb_regular(p)
@@ -235,3 +227,71 @@ class TestComputeMatchings:
                 w = eval_poly(prob.base, complex(x, y)) - target
                 val = w.real if arc.field == "g" else w.imag
                 assert abs(val) <= ctrl.on_curve_tol
+
+
+
+def brute_close_pairs(arcs, tol):
+    """For each sample k of arc j and each arc i < j, the nearest sample
+    of arc i (first on ties) when closer than tol, by all distances."""
+    rows = []
+    for i in range(len(arcs)):
+        for j in range(i + 1, len(arcs)):
+            for k, pt in enumerate(arcs[j]):
+                diff = pt - arcs[i]
+                dist = np.sqrt(diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1])
+                m = int(np.argmin(dist))
+                if dist[m] < tol:
+                    rows.append((i, j, k, dist[m], m))
+    return rows
+
+
+def as_rows(found):
+    i, j, k, dist, m = found
+    return [(int(a), int(b), int(c), d, int(e))
+            for a, b, c, d, e in zip(i, j, k, dist, m)]
+
+
+class TestClosePairs:
+    def test_random_walks_against_brute_force(self):
+        rng = np.random.default_rng(71)
+        for _ in range(5):
+            arcs = [np.cumsum(rng.normal(scale=0.05, size=(m, 2)), axis=0)
+                    for m in rng.integers(1, 120, size=rng.integers(2, 6))]
+            for tol in (0.01, 0.05, 0.3):
+                want = brute_close_pairs(arcs, tol)
+                assert as_rows(_close_pairs(arcs, tol)) == want
+
+    def test_lattice_points_on_cell_edges(self):
+        # coordinates are exact multiples of tol: every point sits on a
+        # cell edge, and lattice neighbours are exactly tol apart, which
+        # the strict test must not count
+        tol = 0.25
+        rng = np.random.default_rng(72)
+        arcs = [tol * rng.integers(-6, 6, size=(40, 2)).astype(float)
+                for _ in range(4)]
+        arcs.append(tol * rng.integers(-6, 6, size=(40, 2))
+                    + rng.choice([0.0, 1e-12, -1e-12], size=(40, 2)))
+        want = brute_close_pairs(arcs, tol)
+        assert want
+        assert as_rows(_close_pairs(arcs, tol)) == want
+
+    def test_pair_exactly_tol_apart_is_not_close(self):
+        arcs = [np.array([[0.0, 0.0]]), np.array([[0.5, 0.0]])]
+        i, _, _, _, _ = _close_pairs(arcs, 0.5)
+        assert len(i) == 0
+        i, j, k, dist, m = _close_pairs(arcs, np.nextafter(0.5, 1.0))
+        assert as_rows((i, j, k, dist, m)) == [(0, 1, 0, 0.5, 0)]
+
+    def test_duplicate_points_tie_to_lowest_index(self):
+        arcs = [np.array([[1.0, 1.0], [2.0, 2.0], [1.0, 1.0]]),
+                np.array([[1.0, 1.0], [1.0, 1.0]]),
+                np.array([[2.0, 2.0], [1.0, 1.0]])]
+        got = as_rows(_close_pairs(arcs, 1e-3))
+        assert got == brute_close_pairs(arcs, 1e-3)
+        assert (0, 1, 0, 0.0, 0) in got and (0, 2, 0, 0.0, 1) in got
+
+    def test_one_arc_family(self):
+        walk = np.cumsum(np.full((50, 2), 1e-4), axis=0)
+        for arcs in ([walk], []):
+            found = _close_pairs(arcs, 1.0)
+            assert all(len(part) == 0 for part in found)
