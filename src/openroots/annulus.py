@@ -15,7 +15,7 @@ import numpy as np
 
 from .bounds import reich_radius
 from .errors import BracketFailure, ConvergenceFailure, InterleavingViolation
-from .polycore import eval_poly
+from .polycore import eval_jets, eval_poly
 
 P_KIND = "P"
 Q_KIND = "Q"
@@ -68,9 +68,8 @@ def _leading_sign_ok(q, R):
     # the leading term R^n cos(n theta) / R^n sin(n theta).
     n = q.degree
     mid = (np.arange(4 * n) * math.pi / (2 * n)) + math.pi / (4 * n)
-    desc = np.array(q.coeffs[::-1], dtype=complex)
     for rho in (R, R + 1.0):
-        vals = np.polyval(desc, rho * np.exp(1j * mid))
+        vals = eval_jets(q, rho * np.exp(1j * mid), 0)[0]
         lead = rho**n * np.exp(1j * n * mid)
         if np.any(np.sign(vals.real) != np.sign(lead.real)):
             return False

@@ -22,11 +22,10 @@ from .annulus import P_KIND, Q_KIND
 from .descent import solve_root
 from .errors import (
     DegreeZero,
-    InvalidMatching,
     LocalizationFailure,
     PipelineError,
 )
-from .polycore import eval_poly, eval_with_derivative
+from .polycore import JetKernel, eval_poly, eval_with_derivative
 from .tracer import (
     FIELD_G,
     FIELD_H,
@@ -80,15 +79,6 @@ class SeparatedPair:
     tau_labels: tuple
 
 
-def _check_involution(m, count, name):
-    pairs = m.pairs
-    if len(pairs) != count:
-        raise InvalidMatching(f"{name} has {len(pairs)} entries, expected {count}")
-    for i, j in enumerate(pairs):
-        if not (0 <= j < count) or j == i or pairs[j] != i:
-            raise InvalidMatching(f"{name} is not a fixed-point-free involution")
-
-
 def _between(a, b, total):
     # Labels strictly between a and b, counterclockwise from a to b.
     out = []
@@ -116,8 +106,8 @@ def find_separated_pair(match_p, match_q, n):
     a node of the other kind, so the descent ends at a singleton whose
     partner must lie outside.
     """
-    _check_involution(match_p, 2 * n, "matchP")
-    _check_involution(match_q, 2 * n, "matchQ")
+    match_p.validate(2 * n, "matchP")
+    match_q.validate(2 * n, "matchQ")
     total = 4 * n
 
     def label(kind, i):
@@ -170,13 +160,28 @@ def _build_pair(kind, chord, other, sep, label, total):
     return pair
 
 
+def _shifted_fields(prob):
+    # (g - eps1, h - eps2) at an array of points, through one JetKernel
+    # per array length (the edge-sign test asks for the same lengths
+    # again and again)
+    kernels = {}
+
+    def fields(zs):
+        kernel = kernels.get(len(zs))
+        if kernel is None:
+            kernel = kernels[len(zs)] = JetKernel(prob.base, len(zs))
+        w = kernel(zs, 1)[0]
+        return w.real - prob.eps1, w.imag - prob.eps2
+
+    return fields
+
+
 def _plane_pair(prob):
     # Vectorized (g - eps1, h - eps2) on arrays of plane coordinates.
-    desc = np.array(prob.base.coeffs[::-1], dtype=complex)
+    fields = _shifted_fields(prob)
 
     def pair(xs, ys):
-        w = np.polyval(desc, xs + 1j * ys)
-        return w.real - prob.eps1, w.imag - prob.eps2
+        return fields(xs + 1j * ys)
 
     return pair
 
@@ -359,12 +364,11 @@ def _rotated_pair(prob, center, alpha):
     # for alpha = -arg f'(z*) the level curve of the first component
     # runs vertically through z*, the second horizontally, which is the
     # orientation the edge-sign test needs.
-    desc = np.array(prob.base.coeffs[::-1], dtype=complex)
     rot = complex(math.cos(alpha), math.sin(alpha))
+    fields = _shifted_fields(prob)
 
     def pair(us, vs):
-        w = np.polyval(desc, center + (us + 1j * vs) * rot)
-        return w.real - prob.eps1, w.imag - prob.eps2
+        return fields(center + (us + 1j * vs) * rot)
 
     return pair, (lambda u, v: center + complex(u, v) * rot)
 
@@ -509,7 +513,7 @@ def _arc_for(arcs, field, pair):
     raise LocalizationFailure(f"no {field}-arc with endpoints {sorted(want)}")
 
 
-def run_pipeline(p, tol=1e-9, seed=0):
+def run_pipeline(p, tol=1e-9):
     """Perturb, find boundary nodes, trace, match, localize, polish.
 
     Internal tolerances derive from tol: critical-point residual
@@ -523,7 +527,7 @@ def run_pipeline(p, tol=1e-9, seed=0):
     with _stage("annulus", timings):
         ns = annulus_mod.locate_boundary_nodes(prob.shifted())
     with _stage("trace", timings):
-        ctrl = TraceControl.for_disc(ns.R, prob.base.degree, seed=seed)
+        ctrl = TraceControl.for_disc(ns.R, prob.base.degree)
         match_p, match_q, arcs = compute_matchings(prob, ns, ctrl)
     with _stage("match", timings):
         sep = find_separated_pair(match_p, match_q, prob.base.degree)
@@ -550,6 +554,6 @@ def run_pipeline(p, tol=1e-9, seed=0):
     )
 
 
-def gauss_root(p, tol=1e-9, seed=0):
+def gauss_root(p, tol=1e-9):
     """One root of p with |p(z)| <= tol, by the full curve pipeline."""
-    return run_pipeline(p, tol=tol, seed=seed).root
+    return run_pipeline(p, tol=tol).root

@@ -9,6 +9,8 @@ relations hold exactly by construction.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegreeZero
 
 
@@ -106,6 +108,49 @@ def eval_jet(p, z):
         c = c * z + b
         b = b * z + a
     return b, c, 2.0 * d
+
+
+class JetKernel:
+    """p, p' and p'' at many points at once: the vectorised eval_jet.
+
+    Row k of a preallocated (n + 1, size) buffer takes scale * z**k by a
+    running product down the rows, and one (3, n + 1) @ (n + 1, size)
+    product with the coefficient rows of p, p', p'' gives the values,
+    each column times its ``scale`` (1 by default).  Power sums round
+    differently from Horner, within n * u * sum |a_k| |z|^k.
+    """
+
+    __slots__ = ("matrix", "powers", "out", "_tail", "_rows")
+
+    def __init__(self, p, size, scale=1.0):
+        n = p.degree
+        a = np.array(p.coeffs, dtype=complex)
+        k = np.arange(n + 1)
+        self.matrix = np.zeros((3, n + 1), dtype=complex)
+        self.matrix[0] = a
+        self.matrix[1, :n] = k[1:] * a[1:]
+        self.matrix[2, :n - 1] = (k[2:] * (k[2:] - 1)) * a[2:]
+        self.powers = np.empty((n + 1, size), dtype=complex)
+        self.powers[0] = scale
+        self.out = np.empty((3, size), dtype=complex)
+        self._tail = self.powers[1:]
+        self._rows = [(self.matrix[:r], self.out[:r]) for r in range(4)]
+
+    def __call__(self, zs, rows=3):
+        """The first ``rows`` of the rows p(zs), p'(zs), p''(zs), in a
+        buffer the next call overwrites; zs holds ``size`` points."""
+        pw = self.powers
+        self._tail[...] = zs
+        np.multiply.accumulate(pw, axis=0, out=pw)
+        matrix, out = self._rows[rows]
+        return np.matmul(matrix, pw, out=out)
+
+
+def eval_jets(p, zs, order=2):
+    """eval_jet at every point of the 1-D array zs: rows p, p', p'' up
+    to the given derivative order, shape (order + 1, len(zs))."""
+    zs = np.asarray(zs, dtype=complex)
+    return JetKernel(p, len(zs))(zs, order + 1)
 
 
 def derivative(p):

@@ -12,21 +12,25 @@ rotated gradient, corrector by damped Newton along the gradient.  A
 single parametrization replaces coordinate-swapped monotone patches;
 the patch-style guarantees (bounded extrema count, slope law, no
 merging of distinct components) are audited on the samples instead.
+All 4n boundary nodes are traced in lockstep on numpy arrays, one lane
+per node, so each arc is traced from both ends and the two traces audit
+each other.
 """
 
 import math
-import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .annulus import P_KIND, Q_KIND
 from .errors import (
+    InvalidMatching,
     MatchingInconsistency,
     NodeSnapAmbiguity,
     StepUnderflow,
 )
 from .polycore import (
+    JetKernel,
     Poly,
     critical_points,
     eval_jet,
@@ -81,12 +85,24 @@ class Matching:
 
     pairs: tuple
 
-    def validate(self):
-        m = len(self.pairs)
-        for i, j in enumerate(self.pairs):
-            if not (0 <= j < m) or j == i or self.pairs[j] != i:
-                return False
-        return True
+    def validate(self, count=None, name="matching"):
+        """Returns self when pairs is a fixed-point-free involution on
+        [0, count) (count defaults to len(pairs)); raises InvalidMatching,
+        naming the first offending entry, otherwise."""
+        pairs = self.pairs
+        if count is not None and len(pairs) != count:
+            raise InvalidMatching(
+                f"{name} has {len(pairs)} entries, expected {count}")
+        for i, j in enumerate(pairs):
+            if not 0 <= j < len(pairs):
+                raise InvalidMatching(
+                    f"{name}: {i} -> {j} is outside [0, {len(pairs)})")
+            if j == i:
+                raise InvalidMatching(f"{name}: {i} is paired with itself")
+            if pairs[j] != i:
+                raise InvalidMatching(
+                    f"{name}: {i} -> {j} but {j} -> {pairs[j]}")
+        return self
 
     def arcs(self):
         return [(i, j) for i, j in enumerate(self.pairs) if i < j]
@@ -107,10 +123,9 @@ class TraceControl:
     boundary_margin: float
     turn_cap: float = 0.05
     max_steps: int = 500_000
-    seed: int = 0
 
     @classmethod
-    def for_disc(cls, R, degree, seed=0):
+    def for_disc(cls, R, degree):
         scale = max(1.0, R) ** degree
         return cls(
             max_step=R / 64.0,
@@ -122,21 +137,15 @@ class TraceControl:
             merge_tol=1e-6 * R,
             other_floor=1e-4 * scale,
             boundary_margin=1e-3 * R,
-            seed=seed,
         )
-
-
-def _field_parts(prob, field, w, d):
-    # Value and gradient of the selected shifted component from f and f'.
-    if field == FIELD_G:
-        return w.real - prob.eps1, d.real, -d.imag
-    return w.imag - prob.eps2, d.imag, d.real
 
 
 def _field_eval(prob, field, x, y):
     # Value and gradient of the selected shifted component at (x, y).
     w, d = eval_with_derivative(prob.base, complex(x, y))
-    return _field_parts(prob, field, w, d)
+    if field == FIELD_G:
+        return w.real - prob.eps1, d.real, -d.imag
+    return w.imag - prob.eps2, d.imag, d.real
 
 
 def perturb_regular(p, tol=1e-9):
@@ -172,50 +181,6 @@ def _pick_eps(vals, delta0):
             if all(abs(v - c) > margin for v in vals):
                 return c
         k += 1
-
-
-def _corrector(prob, field, x0, y0, px, py, h, ctrl):
-    # Damped Newton along the gradient from the predicted point.
-    # Returns (x, y, tangent_x, tangent_y, iters, jet) or None on failure;
-    # jet is eval_jet at the accepted point, reused by the next step.
-    u, v = px, py
-    for it in range(5):
-        val, fx, fy = _field_eval(prob, field, u, v)
-        g2 = fx * fx + fy * fy
-        if g2 == 0.0:
-            return None
-        du = -val * fx / g2
-        dv = -val * fy / g2
-        nrm = math.hypot(du, dv)
-        if nrm > 0.5 * h:
-            # single damping: a full step would leave the trust region
-            scalefac = 0.5 * h / nrm
-            du *= scalefac
-            dv *= scalefac
-        u += du
-        v += dv
-        if math.hypot(u - px, v - py) > 0.75 * h:
-            return None  # corrector wandered; risk of branch jumping
-        if nrm <= ctrl.pos_tol:
-            jet = eval_jet(prob.base, complex(u, v))
-            val, fx, fy = _field_parts(prob, field, jet[0], jet[1])
-            if abs(val) > ctrl.on_curve_tol:
-                return None
-            gn = math.hypot(fx, fy)
-            if gn == 0.0:
-                return None
-            chord = math.hypot(u - x0, v - y0)
-            if chord > ctrl.max_step:
-                return None
-            # mid-chord audit: the chord of a genuine curve segment stays
-            # close to the curve; a branch jump does not
-            mval, mfx, mfy = _field_eval(prob, field,
-                                         0.5 * (x0 + u), 0.5 * (y0 + v))
-            mgn = math.hypot(mfx, mfy)
-            if mgn > 0.0 and abs(mval) / mgn > 0.15 * chord + 2.0 * ctrl.pos_tol:
-                return None
-            return u, v, -fy / gn, fx / gn, it + 1, jet
-    return None
 
 
 def _land_on_circle(prob, field, x, y, R, ctrl):
@@ -264,6 +229,245 @@ def _snap_to_node(nodes, kind, x, y):
     return best
 
 
+# h grows after a quick corrector (1-2 Newton iterations), shrinks after
+# a slow one (4-5); indexed by the iteration count
+_STEP_FACTOR = np.array([1.0, 1.25, 1.25, 1.0, 0.7, 0.7])
+# steps per block of the lockstep tracer's sample history
+_BLOCK = 256
+# step refinement for lanes whose two traces of one arc disagree
+_REFINE = 4.0
+
+
+def _trace_lanes(prob, nodes, starts, ctrl):
+    """Trace the curves from every node of ``starts`` at once, in lockstep.
+
+    Lane k starts at starts[k] and traces g (P-node) or h (Q-node); its
+    state (position, unit tangent, |f'|, |f''|, step h, entered and
+    active flags) lives in arrays, so every check of the scalar
+    predictor-corrector runs once per step for all lanes.  Lanes stay
+    resident after they land: masks, not compaction, select the lanes a
+    result applies to, because the cost of a step is its number of numpy
+    calls, not its number of lanes.  Returns (ends, lengths, samples):
+    the snapped end node and arc length of each lane, and samples(k),
+    the (m, 2) points of lane k from its start node to its landing point.
+    """
+    R = nodes.R
+    L = len(starts)
+    # the traced field is Re(c f): c = 1 on g-lanes, -i on h-lanes.  Its
+    # gradient is conj(c f'), so -val / (c f') is the Newton step
+    # -val * grad / |grad|^2 and i conj(c f') / |f'| the unit tangent.
+    c = np.array([1.0 if nd.kind == P_KIND else -1j for nd in starts])
+    shifted = prob.shifted()
+    newton_jet = JetKernel(shifted, L, c)
+    check_jet = JetKernel(shifted, 2 * L, np.concatenate((c, c)))
+    start_z, t, adf4, ad2f = (
+        np.array(col) for col in zip(*(_start(prob, nd, R) for nd in starts)))
+    near_circle = R - ctrl.boundary_margin
+    inside = R - 2.0 * ctrl.boundary_margin
+
+    def floats(*shape):
+        return np.empty(shape or (L,))
+
+    heff, halfh, reach, nrm, fac, dist, rr, cos, sgrad = (
+        floats() for _ in range(9))
+    pred, dz, diff, tn = (np.empty(L, dtype=complex) for _ in range(4))
+    tn_imag = tn.imag
+    pending, good, flag, rej = (np.empty(L, dtype=bool) for _ in range(4))
+    iters = np.empty(L, dtype=np.intp)
+    # views are taken once: the loop below is bound by its numpy calls
+    val, der = newton_jet.out[0].real, newton_jet.out[1]
+    jet = check_jet.out
+    val2, der2, der_u, d2_u = jet[0].real, jet[1], jet[1, :L], jet[2, :L]
+    # pts holds the corrected points u, then the chord midpoints
+    pts = np.empty(2 * L, dtype=complex)
+    u, mid = pts[:L], pts[L:]
+    grad = floats(2 * L)
+    grad_u, grad_mid = grad[:L], grad[L:]
+    # the accept tests, one row each, pass where test <= limit: on-curve
+    # value, mid-chord distance to the curve, chord, and -cos(turn); the
+    # last row of ``passed`` says the corrector converged
+    test = floats(4, L)
+    absval = test[:2].reshape(2 * L)
+    _, mid_dist, chord, neg_cos = test
+    limit = floats(4, L)
+    limit[0] = ctrl.on_curve_tol
+    limit[2] = ctrl.max_step
+    limit[3] = -math.cos(ctrl.turn_cap)
+    mid_limit = limit[1]
+    passed = np.empty((5, L), dtype=bool)
+    tests_passed, mid_passed, converged = passed[:4], passed[1], passed[4]
+    ok = np.empty(L, dtype=bool)
+    # every step's corrected points and accept mask, in blocks of rows
+    hist_z, hist_ok, row = [], [], _BLOCK
+    ends = [None] * L
+    landing = np.zeros(L, dtype=complex)
+
+    with np.errstate(all="ignore"):
+        z = start_z.copy()
+        h = np.full(L, ctrl.first_step)
+        length = np.zeros(L)
+        entered = np.zeros(L, dtype=bool)
+        active = np.ones(L, dtype=bool)
+
+        for _ in range(ctrl.max_steps):
+            # conformal feature scale |f'| / |f''| caps the step: level-
+            # curve branches only crowd together around critical points,
+            # and there this ratio collapses, forcing steps finer than the
+            # branch gap (f'' = 0 gives inf or nan, which fmin ignores)
+            np.divide(adf4, ad2f, out=heff)
+            np.fmin(heff, h, out=heff)
+            np.maximum(heff, ctrl.min_step, out=heff)
+            np.multiply(heff, 0.5, out=halfh)
+            np.multiply(heff, 0.75, out=reach)
+            np.multiply(t, heff, out=pred)
+            pred += z
+
+            # damped Newton along the gradient, at most 5 iterations: a
+            # lane stays ``pending`` until it converges or wanders off
+            # (then it is no longer ``good``); iters counts its iterations
+            np.copyto(u, pred)
+            np.copyto(good, active)
+            np.copyto(pending, active)
+            np.copyto(iters, pending)
+            for it in range(5):
+                if it:
+                    iters += pending
+                newton_jet(u, 2)
+                np.divide(val, der, out=dz)
+                np.abs(dz, out=nrm)
+                # single damping: a full step would leave the trust region
+                np.maximum(nrm, halfh, out=fac)
+                np.divide(halfh, fac, out=fac)
+                dz *= fac
+                np.subtract(u, dz, out=u, where=pending)
+                if it:
+                    # corrector wandered: risk of branch jumping (a damped
+                    # step is at most h/2, so the first cannot wander; a
+                    # zero gradient makes u non-finite, failing the tests)
+                    np.subtract(u, pred, out=diff)
+                    np.abs(diff, out=dist)
+                    np.less_equal(dist, reach, out=flag)
+                    good &= flag
+                    pending &= flag
+                np.greater(nrm, ctrl.pos_tol, out=flag)
+                pending &= flag
+                if not np.count_nonzero(pending):
+                    break
+            np.greater(good, pending, out=converged)
+
+            # one jet at the corrected points and the chord midpoints
+            np.add(z, u, out=mid)
+            mid *= 0.5
+            check_jet(pts)
+            np.abs(der2, out=grad)
+            np.abs(val2, out=absval)
+            # mid-chord audit: the chord of a genuine curve segment stays
+            # close to the curve; a branch jump does not
+            mid_dist /= grad_mid
+            np.subtract(u, z, out=diff)
+            np.abs(diff, out=chord)
+            np.multiply(chord, 0.15, out=mid_limit)
+            mid_limit += 2.0 * ctrl.pos_tol
+            # turn cap: cos(turn) = Re(tangent * conj(t)) = Im(c f' t) / |f'|
+            # (a zero gradient makes it nan, which fails)
+            np.multiply(der_u, t, out=tn)
+            np.divide(tn_imag, grad_u, out=cos)
+            np.abs(cos, out=neg_cos)
+            np.negative(neg_cos, out=neg_cos)
+            np.less_equal(test, limit, out=tests_passed)
+            mid_passed |= grad_mid == 0.0
+            np.logical_and.reduce(passed, axis=0, out=ok)
+
+            np.greater(active, ok, out=rej)
+            if np.count_nonzero(rej):
+                np.copyto(h, halfh, where=rej)
+                low = np.flatnonzero(rej & (h < ctrl.min_step))
+                if len(low):
+                    zk = z[low[0]]
+                    raise StepUnderflow(
+                        f"step underflow at ({zk.real:.6g}, {zk.imag:.6g}); "
+                        "retry with a stronger perturbation")
+
+            np.abs(u, out=rr)
+            np.logical_and(entered, ok, out=flag)
+            np.greater_equal(rr, near_circle, out=flag, where=flag)
+            if np.count_nonzero(flag):
+                for k in np.flatnonzero(flag):
+                    hit = _land(prob, nodes, starts[k], u[k], heff[k], ctrl)
+                    if hit is not None:
+                        landing[k], ends[k] = hit
+                        length[k] += abs(landing[k] - z[k])
+                        active[k] = ok[k] = False
+
+            np.add(length, chord, out=length, where=ok)
+            np.copyto(z, u, where=ok)
+            # the new unit tangent, oriented along the previous one
+            np.copysign(grad_u, cos, out=sgrad)
+            np.conjugate(der_u, out=tn)
+            tn *= 1j
+            np.divide(tn, sgrad, out=t, where=ok)
+            np.multiply(grad_u, 0.25, out=adf4, where=ok)
+            np.abs(d2_u, out=ad2f, where=ok)
+            if row == _BLOCK:
+                hist_z.append(np.empty((_BLOCK, L), dtype=complex))
+                hist_ok.append(np.zeros((_BLOCK, L), dtype=bool))
+                row = 0
+            hist_z[-1][row] = u
+            hist_ok[-1][row] = ok
+            row += 1
+            np.logical_or(entered, rr < inside, out=entered, where=ok)
+            # h stays within [min_step, 0.8 max_step]
+            np.multiply(h, _STEP_FACTOR[iters], out=h, where=ok)
+            np.minimum(h, 0.8 * ctrl.max_step, out=h)
+            np.maximum(h, ctrl.min_step, out=h)
+            if not np.count_nonzero(active):
+                break
+        else:
+            raise StepUnderflow(
+                "step budget exhausted before reaching the boundary")
+
+    def samples(k):
+        pts = np.concatenate(
+            [start_z[k:k + 1]]
+            + [zs[:, k][oks[:, k]] for zs, oks in zip(hist_z, hist_ok)]
+            + [landing[k:k + 1]])
+        return np.column_stack((pts.real, pts.imag))
+
+    return ends, length, samples
+
+
+def _start(prob, node, R):
+    # Position, inward unit tangent, |f'| / 4 and |f''| at a start node.
+    z = complex(R * math.cos(node.angle), R * math.sin(node.angle))
+    _, df, d2f = eval_jet(prob.base, z)
+    gn = abs(df)
+    if gn == 0.0:
+        raise StepUnderflow("vanishing gradient at the start node")
+    cdf = df if node.kind == P_KIND else -1j * df
+    t = 1j * cdf.conjugate() / gn
+    if (t * z.conjugate()).real > 0.0:  # point into the disc
+        t = -t
+    return z, t, 0.25 * gn, abs(d2f)
+
+
+def _land(prob, nodes, start, u, heff, ctrl):
+    # A lane that started at ``start`` accepted u near the circle: refine
+    # onto |z| = R.  A landing within reach of u replaces u, so every
+    # sample stays inside the closed disc; returns it with its snapped
+    # node, or None to keep tracing.
+    cand = _land_on_circle(prob, _FIELD_FOR_KIND[start.kind], u.real, u.imag,
+                           nodes.R, ctrl)
+    if cand is None or math.hypot(cand[0] - u.real, cand[1] - u.imag) > \
+            4.0 * max(heff, ctrl.boundary_margin):
+        return None
+    end = _snap_to_node(nodes, start.kind, *cand)
+    if end.index == start.index:
+        raise NodeSnapAmbiguity(
+            f"{start.kind}-arc from node {start.index} landed back on its "
+            "start")
+    return complex(*cand), end
+
+
 def trace_curve(prob, field, start, nodes, ctrl=None):
     """Trace one level-curve component from a boundary node to its partner.
 
@@ -273,113 +477,26 @@ def trace_curve(prob, field, start, nodes, ctrl=None):
     each predicted point is corrected back onto the curve by damped
     Newton (at most 5 iterations, else the step halves).  Tracing ends
     when the boundary is reached again; the landing is refined onto
-    |z| = R and snapped to the nearest node of the same kind.
+    |z| = R and snapped to the nearest node of the same kind.  This is
+    the one-lane case of the lockstep tracer behind compute_matchings.
     """
     if _KIND_FOR_FIELD[field] != start.kind:
         raise ValueError(f"field {field!r} cannot start at a {start.kind}-node")
-    R = nodes.R
     if ctrl is None:
-        ctrl = TraceControl.for_disc(R, prob.base.degree)
-
-    x = R * math.cos(start.angle)
-    y = R * math.sin(start.angle)
-    jet = eval_jet(prob.base, complex(x, y))
-    _, fx, fy = _field_parts(prob, field, jet[0], jet[1])
-    gn = math.hypot(fx, fy)
-    if gn == 0.0:
-        raise StepUnderflow("vanishing gradient at the start node")
-    tx, ty = -fy / gn, fx / gn
-    if tx * x + ty * y > 0.0:  # point into the disc
-        tx, ty = -tx, -ty
-
-    samples = [(x, y)]
-    h = ctrl.first_step
-    cos_cap = math.cos(ctrl.turn_cap)
-    entered = False
-    landing = None
-    total_len = 0.0
-
-    for _ in range(ctrl.max_steps):
-        # conformal feature scale |f'| / |f''| caps the step: level-curve
-        # branches only crowd together around critical points, and there
-        # this ratio collapses, forcing steps finer than the branch gap
-        _, dfz, d2fz = jet
-        if d2fz != 0.0:
-            h_eff = max(min(h, 0.25 * abs(dfz) / abs(d2fz)), ctrl.min_step)
-        else:
-            h_eff = h
-        hit = _corrector(prob, field, x, y, x + h_eff * tx, y + h_eff * ty,
-                         h_eff, ctrl)
-        if hit is not None:
-            nx, ny, ntx, nty, iters, njet = hit
-            if ntx * tx + nty * ty < 0.0:
-                ntx, nty = -ntx, -nty
-            if ntx * tx + nty * ty < cos_cap:
-                hit = None  # turned too sharply; refine
-        if hit is None:
-            h = 0.5 * h_eff
-            if h < ctrl.min_step:
-                raise StepUnderflow(
-                    f"step underflow at ({x:.6g}, {y:.6g}); "
-                    "retry with a stronger perturbation")
-            continue
-
-        rr = math.hypot(nx, ny)
-        if entered and rr >= R - ctrl.boundary_margin:
-            cand = _land_on_circle(prob, field, nx, ny, R, ctrl)
-            if cand is not None and math.hypot(cand[0] - nx, cand[1] - ny) <= \
-                    4.0 * max(h_eff, ctrl.boundary_margin):
-                landing = cand
-                break
-        total_len += math.hypot(nx - x, ny - y)
-        x, y, tx, ty, jet = nx, ny, ntx, nty, njet
-        samples.append((x, y))
-        if rr < R - 2.0 * ctrl.boundary_margin:
-            entered = True
-        if iters <= 2:
-            h = min(0.8 * ctrl.max_step, 1.25 * h)
-        elif iters >= 4:
-            h = max(ctrl.min_step, 0.7 * h)
-    if landing is None:
-        raise StepUnderflow("step budget exhausted before reaching the boundary")
-
-    # the step that crossed the boundary region is replaced by the exact
-    # landing point so every sample stays inside the closed disc
-    total_len += math.hypot(landing[0] - x, landing[1] - y)
-    samples.append(landing)
-    end = _snap_to_node(nodes, start.kind, landing[0], landing[1])
-    if end.index == start.index:
-        raise NodeSnapAmbiguity(
-            f"{start.kind}-arc from node {start.index} landed back on its start")
-    return Arc(
-        field=field,
-        samples=np.asarray(samples, dtype=float),
-        start_node=start,
-        end_node=end,
-        length=total_len,
-    )
+        ctrl = TraceControl.for_disc(nodes.R, prob.base.degree)
+    ends, lengths, samples = _trace_lanes(prob, nodes, (start,), ctrl)
+    return Arc(field=field, samples=samples(0), start_node=start,
+               end_node=ends[0], length=float(lengths[0]))
 
 
-def _trace_kind(prob, nodes, kind, ctrl):
-    # Sequential sweep: trace from each unvisited node, mark both ends.
-    family = nodes.of_kind(kind)
-    count = len(family)
-    pairs = [-1] * count
-    arcs = []
-    field = _FIELD_FOR_KIND[kind]
-    for node in family:
-        if pairs[node.index] != -1:
-            continue
-        arc = trace_curve(prob, field, node, nodes, ctrl)
-        j = arc.end_node.index
-        if pairs[j] != -1:
-            raise MatchingInconsistency(
-                f"{kind}-node {j} claimed twice (arcs from "
-                f"{pairs[j]} and {node.index})")
-        pairs[node.index] = j
-        pairs[j] = node.index
-        arcs.append(arc)
-    return Matching(pairs=tuple(pairs)), arcs
+def reverse_audit(kind, ends):
+    """The matching traced from both ends of every arc: lane i reached
+    node ends[i], so ends[ends[i]] == i must hold for every i.  Returns
+    the Matching; raises MatchingInconsistency otherwise."""
+    try:
+        return Matching(pairs=tuple(ends)).validate(name=f"{kind}-lane ends")
+    except InvalidMatching as exc:
+        raise MatchingInconsistency(f"reverse audit failed: {exc}") from exc
 
 
 def index_runs(lo, hi):
@@ -463,30 +580,65 @@ def separation_audit(arcs, prob, ctrl):
                     f"({mid[0]:.6g}, {mid[1]:.6g})")
 
 
+def _disputed(ends, count):
+    # Lanes come in families of ``count``, lane base + i starting at node
+    # i.  A lane whose end node's lane does not come back to it disputes
+    # that arc: one of the two traces jumped branches.  Returns both.
+    out = set()
+    for k, end in enumerate(ends):
+        base = k - k % count
+        back = base + end.index
+        if ends[back].index != k - base:
+            out.update((k, back))
+    return sorted(out)
+
+
 def compute_matchings(prob, ns, ctrl=None):
     """Trace every component of both families inside the disc.
 
     Returns (matchP, matchQ, arcs) with exactly n P-arcs and n Q-arcs.
-    Runs the separation audit and a reverse-trace audit (one randomly
-    chosen arc per family, seeded by ctrl.seed) before returning.
+    All 4n boundary nodes are traced at once, so every arc is traced
+    from both of its ends; the two traces must agree (the reverse audit)
+    and the one from the lower node index is kept.  Lanes that disagree
+    are traced once more with steps _REFINE times finer before the audit
+    decides.  The separation audit runs before returning.
     """
     if ctrl is None:
         ctrl = TraceControl.for_disc(ns.R, prob.base.degree)
-    match_p, arcs_p = _trace_kind(prob, ns, P_KIND, ctrl)
-    match_q, arcs_q = _trace_kind(prob, ns, Q_KIND, ctrl)
-    arcs = arcs_p + arcs_q
-
+    match_p, match_q, arcs = _audited_arcs(prob, ns, ctrl)
     separation_audit(arcs, prob, ctrl)
-
-    rng = random.Random(ctrl.seed)
-    for group in (arcs_p, arcs_q):
-        arc = group[rng.randrange(len(group))]
-        back = trace_curve(prob, arc.field, arc.end_node, ns, ctrl)
-        if back.end_node.index != arc.start_node.index:
-            raise MatchingInconsistency(
-                f"reverse trace of a {arc.field}-arc reached node "
-                f"{back.end_node.index}, expected {arc.start_node.index}")
     return match_p, match_q, arcs
+
+
+def _audited_arcs(prob, ns, ctrl):
+    # The traces of all lanes (the sample history dies on return, before
+    # the separation audit needs its memory), the reverse audit, and the
+    # arcs of the lower-index lanes.
+    starts = ns.of_kind(P_KIND) + ns.of_kind(Q_KIND)
+    count = len(starts) // 2
+    ends, lengths, samples = _trace_lanes(prob, ns, starts, ctrl)
+    lanes = [(samples, k) for k in range(len(starts))]
+    disputed = _disputed(ends, count)
+    if disputed:
+        fine = replace(ctrl, max_step=ctrl.max_step / _REFINE,
+                       first_step=ctrl.first_step / _REFINE)
+        again = _trace_lanes(prob, ns, [starts[k] for k in disputed], fine)
+        for j, k in enumerate(disputed):
+            ends[k], lengths[k] = again[0][j], again[1][j]
+            lanes[k] = (again[2], j)
+    matchings, arcs = [], []
+    for offset in (0, count):
+        kind = starts[offset].kind
+        match = reverse_audit(
+            kind, [nd.index for nd in ends[offset:offset + count]])
+        matchings.append(match)
+        for i, _ in match.arcs():
+            samples, j = lanes[offset + i]
+            arcs.append(Arc(field=_FIELD_FOR_KIND[kind], samples=samples(j),
+                            start_node=starts[offset + i],
+                            end_node=ends[offset + i],
+                            length=float(lengths[offset + i])))
+    return matchings[0], matchings[1], arcs
 
 
 def direction_change_counts(arc, floor):

@@ -270,6 +270,6 @@ class TestGaussRoot:
         assert rep.match_p.validate() and rep.match_q.validate()
 
     def test_seed_determinism(self):
-        a = run_pipeline(Poly([-1, 0, 0, 1]), 1e-9, seed=0)
-        b = run_pipeline(Poly([-1, 0, 0, 1]), 1e-9, seed=0)
+        a = run_pipeline(Poly([-1, 0, 0, 1]), 1e-9)
+        b = run_pipeline(Poly([-1, 0, 0, 1]), 1e-9)
         assert a.root == b.root and a.crossing == b.crossing

@@ -16,8 +16,14 @@ from openroots import (
     synthetic_div,
     taylor_shift,
 )
+from openroots import annulus_radius
 from openroots.errors import DegreeZero
-from openroots.polycore import eval_jet, eval_with_derivative
+from openroots.polycore import (
+    JetKernel,
+    eval_jet,
+    eval_jets,
+    eval_with_derivative,
+)
 
 
 def naive_eval(p, z):
@@ -68,6 +74,46 @@ class TestEval:
             assert abs(df - eval_poly(derivative(p), z)) <= 1e-12 * (1 + abs(df))
             assert abs(d2f2 - eval_poly(derivative(derivative(p)), z)) <= \
                 1e-11 * (1 + abs(d2f2))
+
+
+class TestJetKernel:
+    @staticmethod
+    def floors(p, radius):
+        # 4 n u sum |a_k| |z|^k for p, p', p'': the oracle's rounding floor
+        n = p.degree
+        u = np.finfo(float).eps / 2
+        a = np.abs(np.array(p.coeffs))
+        k = np.arange(n + 1)
+        rows = [a, k * a, k * (k - 1) * a]
+        return [4 * n * u * float(np.sum(row[r:] * radius ** (k[r:] - r)))
+                for r, row in enumerate(rows)]
+
+    def test_matches_eval_jet_within_floor(self):
+        rng = np.random.default_rng(15)
+        for n in (2, 3, 5, 8, 16, 32, 64):
+            p = random_poly(rng, n, monic=bool(n % 2))
+            for radius in (0.5, 1.0, annulus_radius(p)):
+                zs = radius * np.exp(1j * rng.uniform(0, 2 * np.pi, 40))
+                jets = eval_jets(p, zs)
+                floors = self.floors(p, radius)
+                for col, z in enumerate(zs):
+                    for row, want in enumerate(eval_jet(p, z)):
+                        assert abs(jets[row, col] - want) <= floors[row]
+
+    def test_order_and_scale(self):
+        rng = np.random.default_rng(16)
+        p = random_poly(rng, 6)
+        zs = np.array([random_point(rng) for _ in range(5)])
+        scale = np.array([1, -1j, 2, 0.5j, -1])
+        scaled = JetKernel(p, 5, scale)(zs)
+        full = eval_jets(p, zs)
+        assert eval_jets(p, zs, 0).shape == (1, 5)
+        assert np.allclose(eval_jets(p, zs, 0), full[:1], rtol=1e-14)
+        assert np.allclose(scaled, scale * full, rtol=1e-14)
+
+    def test_linear(self):
+        jets = eval_jets(Poly([2, 3]), np.array([0, 1j]))
+        assert np.array_equal(jets, [[2, 2 + 3j], [3, 3], [0, 0]])
 
 
 class TestDerivative:

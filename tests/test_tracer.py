@@ -1,5 +1,7 @@
 import math
 import random
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,12 +16,22 @@ from openroots import (
     locate_boundary_nodes,
     perturb_regular,
     trace_curve,
+    tracer,
+)
+from openroots.errors import (
+    InvalidMatching,
+    MatchingInconsistency,
+    StepUnderflow,
 )
 from openroots.tracer import (
+    Matching,
     PerturbedProblem,
     TraceControl,
     _close_pairs,
+    _disputed,
+    _trace_lanes,
     direction_change_counts,
+    reverse_audit,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -228,6 +240,135 @@ class TestComputeMatchings:
                 val = w.real if arc.field == "g" else w.imag
                 assert abs(val) <= ctrl.on_curve_tol
 
+    def test_step_budget_exhaustion_many_lanes(self):
+        p = matching_suite()[5]
+        prob = perturb_regular(p)
+        ns = locate_boundary_nodes(prob.shifted())
+        ctrl = replace(TraceControl.for_disc(ns.R, p.degree), max_steps=40)
+        with pytest.raises(StepUnderflow, match="budget"):
+            compute_matchings(prob, ns, ctrl)
+
+
+class TestLockstep:
+    def test_lanes_independent(self):
+        # each lane of the lockstep run reaches the node that a one-lane
+        # trace from the same start reaches, with as many samples; the
+        # samples agree within pos_tol, not to the bit, since the batched
+        # jet rounds by batch position
+        rng = np.random.default_rng(64)
+        for n in (3, 6, 10):
+            prob = perturb_regular(random_poly(rng, n), 1e-7)
+            ns = locate_boundary_nodes(prob.shifted())
+            ctrl = TraceControl.for_disc(ns.R, n)
+            starts = ns.of_kind("P") + ns.of_kind("Q")
+            ends, lengths, samples = _trace_lanes(prob, ns, starts, ctrl)
+            for k, start in enumerate(starts):
+                field = "g" if start.kind == "P" else "h"
+                arc = trace_curve(prob, field, start, ns, ctrl)
+                assert arc.end_node == ends[k]
+                assert arc.samples.shape == samples(k).shape
+                assert np.max(np.abs(arc.samples - samples(k))) <= ctrl.pos_tol
+                assert arc.length == pytest.approx(lengths[k], rel=1e-9)
+
+    def test_arcs_are_lower_index_lanes(self):
+        prob = perturb_regular(matching_suite()[4])
+        ns = locate_boundary_nodes(prob.shifted())
+        mp, mq, arcs = compute_matchings(prob, ns)
+        assert [a.start_node.index for a in arcs] == \
+            [i for i, _ in mp.arcs()] + [i for i, _ in mq.arcs()]
+        for arc in arcs:
+            assert arc.start_node.index < arc.end_node.index
+
+    def test_reverse_audit(self):
+        assert reverse_audit("P", [3, 2, 1, 0]).pairs == (3, 2, 1, 0)
+        with pytest.raises(MatchingInconsistency, match="0 -> 1 but 1 -> 2"):
+            reverse_audit("P", [1, 2, 3, 0])
+
+
+class TestDisputedLanes:
+    @staticmethod
+    def nodes(*indices):
+        return [SimpleNamespace(index=i) for i in indices]
+
+    def test_agreeing_lanes(self):
+        assert _disputed(self.nodes(1, 0, 3, 2, 2, 3, 0, 1), 4) == []
+
+    def test_disagreeing_lanes_and_their_ends(self):
+        # P-lane 0 claims node 2, whose lane says 3: lanes 0, 2 and the
+        # lane of node 1, which still claims 0, are disputed; the Q
+        # family (lanes 4..7) is fine
+        ends = self.nodes(2, 0, 3, 2, 3, 2, 1, 0)
+        assert _disputed(ends, 4) == [0, 1, 2]
+
+    @staticmethod
+    def faulty_first_trace(monkeypatch, faults):
+        # _trace_lanes whose first ``faults`` calls send P-lane 0 to the
+        # wrong node; returns the log of (start indices, ctrl) per call
+        calls, real = [], tracer._trace_lanes
+
+        def traced(prob, nodes, starts, ctrl):
+            ends, lengths, samples = real(prob, nodes, starts, ctrl)
+            calls.append(([nd.index for nd in starts], ctrl))
+            if len(calls) <= faults and starts[0].index == 0:
+                family = nodes.of_kind("P")
+                wrong = next(nd for nd in family
+                             if nd.index not in (0, ends[0].index))
+                ends[0] = wrong
+            return ends, lengths, samples
+
+        monkeypatch.setattr(tracer, "_trace_lanes", traced)
+        return calls
+
+    def test_disputed_lanes_traced_again_finer(self, monkeypatch):
+        prob = perturb_regular(Poly([-1, 0, 0, 1]))
+        ns = locate_boundary_nodes(prob.shifted())
+        ctrl = TraceControl.for_disc(ns.R, 3)
+        want_p, want_q, want_arcs = compute_matchings(prob, ns, ctrl)
+        calls = self.faulty_first_trace(monkeypatch, 1)
+        mp, mq, arcs = compute_matchings(prob, ns, ctrl)
+        assert (mp, mq) == (want_p, want_q)
+        assert [a.end_node for a in arcs] == [a.end_node for a in want_arcs]
+        assert len(calls) == 2
+        # lane 0, the lane of its true partner, and the lane of the node
+        # it wrongly claimed (the lowest other one)
+        lanes, fine = calls[1]
+        partner = want_p.pairs[0]
+        wrong = min(set(range(6)) - {0, partner})
+        assert lanes == sorted({0, partner, wrong})
+        assert fine.max_step == ctrl.max_step / 4
+        assert fine.first_step == ctrl.first_step / 4
+
+    def test_dispute_that_persists_fails_the_audit(self, monkeypatch):
+        prob = perturb_regular(Poly([-1, 0, 0, 1]))
+        ns = locate_boundary_nodes(prob.shifted())
+        self.faulty_first_trace(monkeypatch, 2)
+        with pytest.raises(MatchingInconsistency, match="reverse audit"):
+            compute_matchings(prob, ns)
+
+
+class TestMatchingValidate:
+    def test_involution_passes(self):
+        m = Matching(pairs=(1, 0, 3, 2))
+        assert m.validate() is m
+        assert m.validate(4, "m") is m
+
+    def test_fixed_point(self):
+        with pytest.raises(InvalidMatching, match="2 is paired with itself"):
+            Matching(pairs=(1, 0, 2, 3)).validate()
+
+    def test_asymmetric_pair(self):
+        with pytest.raises(InvalidMatching, match="0 -> 1 but 1 -> 2"):
+            Matching(pairs=(1, 2, 0, 3)).validate()
+
+    def test_out_of_range(self):
+        with pytest.raises(InvalidMatching, match="outside"):
+            Matching(pairs=(4, 2, 1, 3)).validate()
+        with pytest.raises(InvalidMatching, match="outside"):
+            Matching(pairs=(-1, 0)).validate()
+
+    def test_wrong_length(self):
+        with pytest.raises(InvalidMatching, match="expected 4"):
+            Matching(pairs=(1, 0)).validate(4, "matchP")
 
 
 def brute_close_pairs(arcs, tol):
