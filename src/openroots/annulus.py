@@ -59,10 +59,6 @@ class NodeSet:
         return complex(self.R * math.cos(node.angle), self.R * math.sin(node.angle))
 
 
-def _monic(p):
-    return p.monic()
-
-
 def _leading_sign_ok(q, R):
     # Signs of g and h at the 4n midpoints, circles R and R+1, must match
     # the leading term R^n cos(n theta) / R^n sin(n theta).
@@ -83,7 +79,7 @@ def annulus_radius(p):
     midpoint signs on circles R and R+1 match the leading term."""
     if p.degree < 1:
         raise ConvergenceFailure("annulus radius needs degree >= 1")
-    q = _monic(p)
+    q = p.monic()
     R = reich_radius(q)
     while not _leading_sign_ok(q, R):
         R *= 2.0
@@ -117,7 +113,7 @@ def boundary_nodes(p, R):
     of its asymptote; the radius acceptance test guarantees a sign
     change there.  Angles are resolved to 1e-12.
     """
-    q = _monic(p)
+    q = p.monic()
     n = q.degree
     half = math.pi / (4 * n)
     two_pi = 2.0 * math.pi

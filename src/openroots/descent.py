@@ -11,7 +11,7 @@ cardinalities are locally constant.
 """
 
 import cmath
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     AtTarget,
@@ -19,17 +19,18 @@ from .errors import (
     DegenerateConstant,
     DegreeZero,
 )
-from .polycore import Poly, eval_poly, eval_with_derivative, synthetic_div, taylor_shift
+from .polycore import Poly, eval_poly, synthetic_div, taylor_shift
 
 
-@dataclass(frozen=True)
-class DescentStepReport:
+class DescentStepReport(NamedTuple):
     """One accepted descent step.
 
     s is the lowest index >= 1 with b_s != 0 after recentering; psi the
     step phase; before/after the residuals |t - f(v)| and |t - f(v+p)|.
-    Guarantees after < before and s*psi + arg(b_s) = arg(t - f(v))
-    modulo 2 pi.
+    value = b_0 and slope = b_1 are f(v) and f'(v), equal to the Horner
+    values of eval_jet: the recentering does the same operations.
+    Guarantees after < before and
+    s*psi + arg(b_s) = arg(t - f(v)) modulo 2 pi.
     """
 
     s: int
@@ -38,6 +39,8 @@ class DescentStepReport:
     before: float
     after: float
     step: complex
+    value: complex
+    slope: complex
 
 
 def descent_step(p, v, t, radius_cap=None):
@@ -58,12 +61,13 @@ def descent_step(p, v, t, radius_cap=None):
     v = complex(v)
     t = complex(t)
     b = taylor_shift(p, v).coeffs
-    drop = 1e-13 * (1.0 + max(abs(c) for c in b))
+    mags = [abs(c) for c in b]
+    drop = 1e-13 * (1.0 + max(mags))
     q = t - b[0]
     before = abs(q)
     if before <= drop:
         raise AtTarget(f"|t - f(v)| = {before:.3e} at the noise floor")
-    candidates = [k for k in range(1, len(b)) if abs(b[k]) > drop]
+    candidates = [k for k in range(1, len(b)) if mags[k] > drop]
     if not candidates:
         raise DegenerateConstant("all recentered coefficients b_k, k >= 1, vanish")
 
@@ -78,11 +82,12 @@ def descent_step(p, v, t, radius_cap=None):
         theta = cmath.phase(b[s])
         psi = (phi - theta) / s
 
+        bs = mags[s]
         beta_ii = 1.0
-        while sum(abs(b[k]) * beta_ii ** (k - s)
-                  for k in range(s + 1, len(b))) >= abs(b[s]):
+        while sum(mags[k] * beta_ii ** (k - s)
+                  for k in range(s + 1, len(b))) >= bs:
             beta_ii *= 0.5
-        beta_iii = (before / abs(b[s])) ** (1.0 / s)
+        beta_iii = (before / bs) ** (1.0 / s)
         beta = 0.9 * min(beta_ii, beta_iii)
         if cap is not None:
             beta = min(beta, 0.9 * cap)
@@ -91,7 +96,8 @@ def descent_step(p, v, t, radius_cap=None):
         after = abs(t - eval_poly(p, v + step))
         if after < before:
             return DescentStepReport(s=s, beta=beta, psi=psi, before=before,
-                                     after=after, step=step)
+                                     after=after, step=step, value=b[0],
+                                     slope=b[1])
     raise ConvergenceFailure(
         f"no numerically decreasing step at v = {v} (residual {before:.3e})")
 
@@ -116,9 +122,7 @@ def solve_root(p, v0, t=0j, tol=1e-9, max_iter=10_000):
         try:
             rep = descent_step(p, v, t)
         except AtTarget:
-            res = abs(eval_poly(p, v) - t)
-            if res <= tol:
-                return v
+            # res is |f(v) - t| > tol, already evaluated at this v
             raise ConvergenceFailure(
                 f"residual {res:.3e} stuck at the noise floor above tol {tol:.3e}")
         best_v = v + rep.step
@@ -132,8 +136,7 @@ def solve_root(p, v0, t=0j, tol=1e-9, max_iter=10_000):
             if r < best_res:
                 best_v, best_res = cand, r
         if rep.s == 1:
-            fv, dfv = eval_with_derivative(p, v)
-            cand = v + (t - fv) / dfv
+            cand = v + (t - rep.value) / rep.slope
             r = abs(eval_poly(p, cand) - t)
             if r < best_res:
                 best_v, best_res = cand, r

@@ -25,7 +25,7 @@ from .errors import (
     LocalizationFailure,
     PipelineError,
 )
-from .polycore import JetKernel, eval_poly, eval_with_derivative
+from .polycore import JetKernel, eval_jet, eval_poly
 from .tracer import (
     FIELD_G,
     FIELD_H,
@@ -338,7 +338,7 @@ def _newton_refine(prob, x, y, max_iter=60):
     res = abs(eval_poly(prob.base, z) - target)
     floor = 1e-10 * (1.0 + abs(target))
     for _ in range(max_iter):
-        f, df = eval_with_derivative(prob.base, z)
+        f, df, _ = eval_jet(prob.base, z)
         if df == 0:
             return None
         step = (target - f) / df
@@ -449,7 +449,7 @@ def locate_crossing(prob, arc_a, arc_b, tol=1e-10, samples_per_edge=64):
             yield plane, (lambda u, v: complex(u, v)), seed
         z_ref = _newton_refine(prob, mid[0], mid[1])
         if z_ref is not None:
-            _, df = eval_with_derivative(prob.base, z_ref)
+            _, df, _ = eval_jet(prob.base, z_ref)
             if df != 0:
                 pair, to_plane = _rotated_pair(prob, z_ref, -cmath.phase(df))
                 box = _grow_box(pair, 8.0 * tol, disc, m)
@@ -469,7 +469,7 @@ def locate_crossing(prob, arc_a, arc_b, tol=1e-10, samples_per_edge=64):
         if final is None:
             continue
         zc = to_plane(*final.center)
-        _, dfz = eval_with_derivative(prob.base, zc)
+        _, dfz, _ = eval_jet(prob.base, zc)
         grad_scale = max(1.0, abs(dfz))
         if _residual(prob, zc.real, zc.imag) <= tol * grad_scale:
             return zc.real, zc.imag

@@ -5,13 +5,17 @@ Horner evaluation, differentiation, Taylor recentering by repeated
 synthetic division, and the split f(x + iy) = g(x, y) + i h(x, y)
 with first partials derived from f'(z) so the Cauchy-Riemann
 relations hold exactly by construction.
+
+numpy is imported by the first ``JetKernel``: the scalar paths (Horner,
+recentering, descent) run on plain Python complex numbers and never
+load it.
 """
 
-from dataclasses import dataclass
-
-import numpy as np
+from typing import NamedTuple
 
 from .errors import DegreeZero
+
+np = None  # numpy, bound by _numpy() on first use
 
 
 class Poly:
@@ -61,8 +65,7 @@ class Poly:
         return f"Poly({list(self.coeffs)!r})"
 
 
-@dataclass(frozen=True)
-class HarmonicEval:
+class HarmonicEval(NamedTuple):
     """Values and first partials of g = Re f and h = Im f at (x, y).
 
     gx == hy and gy == -hx hold exactly: all four partials come from
@@ -80,21 +83,11 @@ class HarmonicEval:
 def eval_poly(p, z):
     """Horner evaluation of p at a complex point."""
     z = complex(z)
-    acc = p.coeffs[-1]
-    for a in reversed(p.coeffs[:-1]):
+    coeffs = reversed(p.coeffs)
+    acc = next(coeffs)
+    for a in coeffs:
         acc = acc * z + a
     return acc
-
-
-def eval_with_derivative(p, z):
-    """One Horner pass returning (p(z), p'(z))."""
-    z = complex(z)
-    b = p.coeffs[-1]
-    c = 0j
-    for a in reversed(p.coeffs[:-1]):
-        c = c * z + b
-        b = b * z + a
-    return b, c
 
 
 def eval_jet(p, z):
@@ -110,6 +103,15 @@ def eval_jet(p, z):
     return b, c, 2.0 * d
 
 
+def _numpy():
+    global np
+    if np is None:
+        import numpy
+
+        np = numpy
+    return np
+
+
 class JetKernel:
     """p, p' and p'' at many points at once: the vectorised eval_jet.
 
@@ -123,6 +125,7 @@ class JetKernel:
     __slots__ = ("matrix", "powers", "out", "_tail", "_rows")
 
     def __init__(self, p, size, scale=1.0):
+        _numpy()
         n = p.degree
         a = np.array(p.coeffs, dtype=complex)
         k = np.arange(n + 1)
@@ -149,7 +152,7 @@ class JetKernel:
 def eval_jets(p, zs, order=2):
     """eval_jet at every point of the 1-D array zs: rows p, p', p'' up
     to the given derivative order, shape (order + 1, len(zs))."""
-    zs = np.asarray(zs, dtype=complex)
+    zs = _numpy().asarray(zs, dtype=complex)
     return JetKernel(p, len(zs))(zs, order + 1)
 
 
@@ -183,24 +186,33 @@ def synthetic_div(p, v):
 def taylor_shift(p, v):
     """Recenter p at v: returns q with q(h) = p(v + h).
 
-    Implemented by repeated synthetic division (n^2 complex ops) rather
-    than convolution; numerically robust at the small degrees used here.
-    The degree and the leading coefficient are preserved.
+    Repeated synthetic division by (z - v) (n^2 / 2 complex
+    multiply-adds, Shaw & Traub 1974) rather than convolution;
+    numerically robust at the small degrees used here.  Done in place:
+    pass j divides the quotient held in a[j:] and leaves its remainder,
+    b_j, in a[j], with the same operations in the same order as
+    dividing one quotient list after another.  The degree and the
+    leading coefficient are preserved.
     """
     v = complex(v)
     if v == 0:
         return p
-    work = list(p.coeffs)
-    out = []
-    while work:
-        work, rem = _synthetic_div(work, v)
-        out.append(rem)
-    return Poly(out)
+    a = list(p.coeffs)
+    n = len(a) - 1
+    lead = a[n]
+    for j in range(n):
+        acc = lead
+        for i in range(n - 1, j - 1, -1):
+            acc = a[i] + v * acc
+            a[i] = acc
+    q = Poly.__new__(Poly)
+    q.coeffs = tuple(a)  # complex and trimmed, as p's were
+    return q
 
 
 def harmonic_eval(p, x, y):
     """Evaluate g, h and their first partials at the point (x, y)."""
-    w, d = eval_with_derivative(p, complex(x, y))
+    w, d, _ = eval_jet(p, complex(x, y))
     gx = d.real
     hx = d.imag
     return HarmonicEval(g=w.real, h=w.imag, gx=gx, gy=-hx, hx=hx, hy=gx)

@@ -35,7 +35,6 @@ from .polycore import (
     critical_points,
     eval_jet,
     eval_poly,
-    eval_with_derivative,
 )
 
 FIELD_G = "g"
@@ -142,7 +141,7 @@ class TraceControl:
 
 def _field_eval(prob, field, x, y):
     # Value and gradient of the selected shifted component at (x, y).
-    w, d = eval_with_derivative(prob.base, complex(x, y))
+    w, d, _ = eval_jet(prob.base, complex(x, y))
     if field == FIELD_G:
         return w.real - prob.eps1, d.real, -d.imag
     return w.imag - prob.eps2, d.imag, d.real

@@ -1,6 +1,10 @@
+import importlib
 import json
 import subprocess
 import sys
+import types
+
+import pytest
 
 from openroots.cli import parse_poly, run
 
@@ -21,6 +25,54 @@ class TestImports:
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_no_numpy_on_descent_path(self):
+        code = ("import sys, openroots; "
+                "openroots.all_roots(openroots.Poly([-1, 0, 0, 1])); "
+                "import openroots.cli; "
+                "code = openroots.cli.run(['--poly', '1 0 -2', "
+                "'--method', 'descent']); "
+                "print(code, 'numpy' in sys.modules, file=sys.stderr)")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert len(json.loads(proc.stdout)["roots"]) == 2
+        assert proc.stderr.split() == ["0", "False"]
+
+    def test_public_names_resolve_to_their_modules(self):
+        import openroots
+
+        for name in openroots.__all__:
+            obj = getattr(openroots, name)
+            if isinstance(obj, types.ModuleType):
+                assert obj is sys.modules[f"openroots.{name}"]
+                continue
+            assert obj.__module__.startswith("openroots.")
+            assert getattr(sys.modules[obj.__module__], name) is obj
+        assert set(openroots.__all__) <= set(dir(openroots))
+
+    def test_submodules_are_attributes(self):
+        import openroots
+
+        for name in ("annulus", "bounds", "cli", "descent", "errors",
+                     "matcher", "polycore", "series", "tracer"):
+            assert getattr(openroots, name) is \
+                importlib.import_module(f"openroots.{name}")
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from openroots import *", namespace)
+        import openroots
+
+        for name in openroots.__all__:
+            assert namespace[name] is getattr(openroots, name)
+
+    def test_unknown_attribute(self):
+        import openroots
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            openroots.no_such_name
+        assert getattr(openroots, "no_such_name", None) is None
 
 
 class TestParsePoly:
