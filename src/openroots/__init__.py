@@ -16,47 +16,114 @@ the large circle (``annulus``), truncated-series contraction solving
 (``series``), and a JSON/SVG command line (``cli``).
 """
 
-import importlib
-
-# Public name -> the submodule that defines it.  Names resolve on first
-# use (PEP 562), so ``import openroots`` loads no submodule, and the
-# descent path (polycore, descent) never loads numpy.
-_HOME = {
-    "annulus": ("BoundaryNode", "NodeSet", "annulus_radius", "boundary_nodes",
-                "interleaving_check", "locate_boundary_nodes"),
-    "bounds": ("boundary_min", "openness_radius", "reich_radius"),
-    "descent": ("DescentStepReport", "all_roots", "descent_step",
-                "preimage_count", "solve_root"),
-    "matcher": ("BoxND", "SeparatedPair", "find_separated_pair", "gauss_root",
-                "locate_crossing", "miranda_test", "miranda_test_nd",
-                "run_pipeline"),
-    "polycore": ("HarmonicEval", "Poly", "critical_points", "derivative",
-                 "eval_poly", "harmonic_eval", "synthetic_div",
-                 "taylor_shift"),
-    "series": ("BivariateSeries", "RadiiRecipe", "TruncatedSeries",
-               "choose_radii", "compose", "implicit_series_solve", "integrate",
-               "multiply", "nodal_cubic_demo", "norm"),
-    "tracer": ("Arc", "Matching", "PerturbedProblem", "TraceControl",
-               "compute_matchings", "perturb_regular", "trace_curve"),
-}
-_SUBMODULES = frozenset(_HOME) | {"cli", "errors"}
-_MODULE_OF = {name: mod for mod, names in _HOME.items() for name in names}
+from . import errors
+from .annulus import (
+    BoundaryNode,
+    NodeSet,
+    annulus_radius,
+    boundary_nodes,
+    interleaving_check,
+    locate_boundary_nodes,
+)
+from .bounds import boundary_min, openness_radius, reich_radius
+from .descent import (
+    DescentStepReport,
+    all_roots,
+    descent_step,
+    preimage_count,
+    solve_root,
+)
+from .matcher import (
+    BoxND,
+    SeparatedPair,
+    find_separated_pair,
+    gauss_root,
+    locate_crossing,
+    miranda_test,
+    miranda_test_nd,
+    run_pipeline,
+)
+from .polycore import (
+    HarmonicEval,
+    Poly,
+    critical_points,
+    derivative,
+    eval_poly,
+    harmonic_eval,
+    synthetic_div,
+    taylor_shift,
+)
+from .series import (
+    BivariateSeries,
+    RadiiRecipe,
+    TruncatedSeries,
+    choose_radii,
+    compose,
+    implicit_series_solve,
+    integrate,
+    multiply,
+    nodal_cubic_demo,
+    norm,
+)
+from .tracer import (
+    Arc,
+    Matching,
+    PerturbedProblem,
+    TraceControl,
+    compute_matchings,
+    perturb_regular,
+    trace_curve,
+)
 
 __version__ = "0.1.0"
 
-__all__ = sorted(["errors", *_MODULE_OF])
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        return importlib.import_module(f".{name}", __name__)
-    mod = _MODULE_OF.get(name)
-    if mod is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{mod}", __name__), name)
-    globals()[name] = value  # bound once, as an eager import would
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__) | _SUBMODULES)
+__all__ = [
+    "Arc",
+    "BivariateSeries",
+    "BoundaryNode",
+    "BoxND",
+    "DescentStepReport",
+    "HarmonicEval",
+    "Matching",
+    "NodeSet",
+    "PerturbedProblem",
+    "Poly",
+    "RadiiRecipe",
+    "SeparatedPair",
+    "TraceControl",
+    "TruncatedSeries",
+    "all_roots",
+    "annulus_radius",
+    "boundary_min",
+    "boundary_nodes",
+    "choose_radii",
+    "compose",
+    "compute_matchings",
+    "critical_points",
+    "derivative",
+    "descent_step",
+    "errors",
+    "eval_poly",
+    "find_separated_pair",
+    "gauss_root",
+    "harmonic_eval",
+    "implicit_series_solve",
+    "integrate",
+    "interleaving_check",
+    "locate_boundary_nodes",
+    "locate_crossing",
+    "miranda_test",
+    "miranda_test_nd",
+    "multiply",
+    "nodal_cubic_demo",
+    "norm",
+    "openness_radius",
+    "perturb_regular",
+    "preimage_count",
+    "reich_radius",
+    "run_pipeline",
+    "solve_root",
+    "synthetic_div",
+    "taylor_shift",
+    "trace_curve",
+]

@@ -9,19 +9,20 @@ agree with the leading term alone.
 """
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .bounds import reich_radius
 from .errors import BracketFailure, ConvergenceFailure, InterleavingViolation
-from .polycore import eval_jets, eval_poly
+from .polycore import LazyNumpy, eval_jets, eval_poly
+
+np = LazyNumpy(globals())
 
 P_KIND = "P"
 Q_KIND = "Q"
 
 # relative part of the bisection stop rule, 4 * machine epsilon
-_BISECT_RTOL = 4.0 * np.finfo(float).eps
+_BISECT_RTOL = 4.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)

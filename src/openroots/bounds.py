@@ -3,10 +3,10 @@
 import cmath
 import math
 
-import numpy as np
-
 from .errors import DegreeZero, NonzeroConstantTerm, ZeroPolynomial
-from .polycore import eval_poly
+from .polycore import LazyNumpy, eval_poly
+
+np = LazyNumpy(globals())
 
 
 def reich_radius(p):

@@ -1,18 +1,17 @@
 """Command-line front end: parse a polynomial, find roots, report JSON,
-optionally render the boundary-node/arc diagram as SVG.
-
-The tracing modules, and with them numpy, are imported only by the gauss
-method, so a descent run never loads numpy.
-"""
+optionally render the boundary-node/arc diagram as SVG."""
 
 import argparse
 import json
 import math
 import sys
 
+from .annulus import P_KIND, node_label
 from .descent import all_roots
 from .errors import RootFindError
+from .matcher import run_pipeline
 from .polycore import Poly, eval_poly
+from .tracer import FIELD_G
 
 
 def parse_poly(text):
@@ -68,9 +67,6 @@ def emit_svg(report, path):
     written at fixed precision and arcs are decimated to at most 512
     points each.
     """
-    from .annulus import P_KIND, node_label
-    from .tracer import FIELD_G
-
     ns = report.nodes
     R = ns.R
     S = R + 1.0
@@ -155,8 +151,6 @@ def run(argv):
             roots = all_roots(p, args.tol)
             report["roots"] = [_root_entry(p, z) for z in roots]
         else:
-            from .matcher import run_pipeline
-
             pipe = run_pipeline(p, tol=args.tol)
             report["roots"] = [_root_entry(p, pipe.root)]
             report["R"] = pipe.nodes.R

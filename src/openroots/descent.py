@@ -11,7 +11,7 @@ cardinalities are locally constant.
 """
 
 import cmath
-from typing import NamedTuple
+from dataclasses import dataclass
 
 from .errors import (
     AtTarget,
@@ -19,18 +19,17 @@ from .errors import (
     DegenerateConstant,
     DegreeZero,
 )
-from .polycore import Poly, eval_poly, synthetic_div, taylor_shift
+from .polycore import Poly, eval_poly, eval_with_derivative, synthetic_div, taylor_shift
 
 
-class DescentStepReport(NamedTuple):
+@dataclass(frozen=True)
+class DescentStepReport:
     """One accepted descent step.
 
     s is the lowest index >= 1 with b_s != 0 after recentering; psi the
     step phase; before/after the residuals |t - f(v)| and |t - f(v+p)|.
-    value = b_0 and slope = b_1 are f(v) and f'(v), equal to the Horner
-    values of eval_jet: the recentering does the same operations.
-    Guarantees after < before and
-    s*psi + arg(b_s) = arg(t - f(v)) modulo 2 pi.
+    Guarantees after < before and s*psi + arg(b_s) = arg(t - f(v))
+    modulo 2 pi.
     """
 
     s: int
@@ -39,8 +38,6 @@ class DescentStepReport(NamedTuple):
     before: float
     after: float
     step: complex
-    value: complex
-    slope: complex
 
 
 def descent_step(p, v, t, radius_cap=None):
@@ -96,8 +93,7 @@ def descent_step(p, v, t, radius_cap=None):
         after = abs(t - eval_poly(p, v + step))
         if after < before:
             return DescentStepReport(s=s, beta=beta, psi=psi, before=before,
-                                     after=after, step=step, value=b[0],
-                                     slope=b[1])
+                                     after=after, step=step)
     raise ConvergenceFailure(
         f"no numerically decreasing step at v = {v} (residual {before:.3e})")
 
@@ -136,7 +132,8 @@ def solve_root(p, v0, t=0j, tol=1e-9, max_iter=10_000):
             if r < best_res:
                 best_v, best_res = cand, r
         if rep.s == 1:
-            cand = v + (t - rep.value) / rep.slope
+            fv, dfv = eval_with_derivative(p, v)
+            cand = v + (t - fv) / dfv
             r = abs(eval_poly(p, cand) - t)
             if r < best_res:
                 best_v, best_res = cand, r

@@ -15,8 +15,6 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import annulus as annulus_mod
 from .annulus import P_KIND, Q_KIND
 from .descent import solve_root
@@ -25,7 +23,7 @@ from .errors import (
     LocalizationFailure,
     PipelineError,
 )
-from .polycore import JetKernel, eval_jet, eval_poly
+from .polycore import JetKernel, LazyNumpy, eval_poly, eval_with_derivative
 from .tracer import (
     FIELD_G,
     FIELD_H,
@@ -34,6 +32,8 @@ from .tracer import (
     index_runs,
     perturb_regular,
 )
+
+np = LazyNumpy(globals())
 
 
 @dataclass(frozen=True)
@@ -338,7 +338,7 @@ def _newton_refine(prob, x, y, max_iter=60):
     res = abs(eval_poly(prob.base, z) - target)
     floor = 1e-10 * (1.0 + abs(target))
     for _ in range(max_iter):
-        f, df, _ = eval_jet(prob.base, z)
+        f, df = eval_with_derivative(prob.base, z)
         if df == 0:
             return None
         step = (target - f) / df
@@ -449,7 +449,7 @@ def locate_crossing(prob, arc_a, arc_b, tol=1e-10, samples_per_edge=64):
             yield plane, (lambda u, v: complex(u, v)), seed
         z_ref = _newton_refine(prob, mid[0], mid[1])
         if z_ref is not None:
-            _, df, _ = eval_jet(prob.base, z_ref)
+            _, df = eval_with_derivative(prob.base, z_ref)
             if df != 0:
                 pair, to_plane = _rotated_pair(prob, z_ref, -cmath.phase(df))
                 box = _grow_box(pair, 8.0 * tol, disc, m)
@@ -469,7 +469,7 @@ def locate_crossing(prob, arc_a, arc_b, tol=1e-10, samples_per_edge=64):
         if final is None:
             continue
         zc = to_plane(*final.center)
-        _, dfz, _ = eval_jet(prob.base, zc)
+        _, dfz = eval_with_derivative(prob.base, zc)
         grad_scale = max(1.0, abs(dfz))
         if _residual(prob, zc.real, zc.imag) <= tol * grad_scale:
             return zc.real, zc.imag

@@ -6,16 +6,37 @@ synthetic division, and the split f(x + iy) = g(x, y) + i h(x, y)
 with first partials derived from f'(z) so the Cauchy-Riemann
 relations hold exactly by construction.
 
-numpy is imported by the first ``JetKernel``: the scalar paths (Horner,
-recentering, descent) run on plain Python complex numbers and never
-load it.
+numpy is imported on first use (``LazyNumpy``): the scalar paths
+(Horner, recentering, descent) run on plain Python complex numbers and
+never load it.
 """
 
-from typing import NamedTuple
+from dataclasses import dataclass
 
 from .errors import DegreeZero
 
-np = None  # numpy, bound by _numpy() on first use
+
+class LazyNumpy:
+    """Stands in for numpy as a module's ``np`` until the module uses it.
+
+    ``np = LazyNumpy(globals())`` replaces ``import numpy as np``.  The
+    first attribute read imports numpy and rebinds that module's ``np``
+    to it, so later reads are plain global lookups of numpy itself.
+    """
+
+    __slots__ = ("_namespace",)
+
+    def __init__(self, namespace):
+        self._namespace = namespace
+
+    def __getattr__(self, name):
+        import numpy
+
+        self._namespace["np"] = numpy
+        return getattr(numpy, name)
+
+
+np = LazyNumpy(globals())
 
 
 class Poly:
@@ -65,7 +86,8 @@ class Poly:
         return f"Poly({list(self.coeffs)!r})"
 
 
-class HarmonicEval(NamedTuple):
+@dataclass(frozen=True)
+class HarmonicEval:
     """Values and first partials of g = Re f and h = Im f at (x, y).
 
     gx == hy and gy == -hx hold exactly: all four partials come from
@@ -90,6 +112,17 @@ def eval_poly(p, z):
     return acc
 
 
+def eval_with_derivative(p, z):
+    """One Horner pass returning (p(z), p'(z))."""
+    z = complex(z)
+    b = p.coeffs[-1]
+    c = 0j
+    for a in reversed(p.coeffs[:-1]):
+        c = c * z + b
+        b = b * z + a
+    return b, c
+
+
 def eval_jet(p, z):
     """One Horner pass returning (p(z), p'(z), p''(z))."""
     z = complex(z)
@@ -101,15 +134,6 @@ def eval_jet(p, z):
         c = c * z + b
         b = b * z + a
     return b, c, 2.0 * d
-
-
-def _numpy():
-    global np
-    if np is None:
-        import numpy
-
-        np = numpy
-    return np
 
 
 class JetKernel:
@@ -125,7 +149,6 @@ class JetKernel:
     __slots__ = ("matrix", "powers", "out", "_tail", "_rows")
 
     def __init__(self, p, size, scale=1.0):
-        _numpy()
         n = p.degree
         a = np.array(p.coeffs, dtype=complex)
         k = np.arange(n + 1)
@@ -152,7 +175,7 @@ class JetKernel:
 def eval_jets(p, zs, order=2):
     """eval_jet at every point of the 1-D array zs: rows p, p', p'' up
     to the given derivative order, shape (order + 1, len(zs))."""
-    zs = _numpy().asarray(zs, dtype=complex)
+    zs = np.asarray(zs, dtype=complex)
     return JetKernel(p, len(zs))(zs, order + 1)
 
 
@@ -212,7 +235,7 @@ def taylor_shift(p, v):
 
 def harmonic_eval(p, x, y):
     """Evaluate g, h and their first partials at the point (x, y)."""
-    w, d, _ = eval_jet(p, complex(x, y))
+    w, d = eval_with_derivative(p, complex(x, y))
     gx = d.real
     hx = d.imag
     return HarmonicEval(g=w.real, h=w.imag, gx=gx, gy=-hx, hx=hx, hy=gx)

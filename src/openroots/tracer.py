@@ -20,8 +20,6 @@ each other.
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .annulus import P_KIND, Q_KIND
 from .errors import (
     InvalidMatching,
@@ -31,11 +29,15 @@ from .errors import (
 )
 from .polycore import (
     JetKernel,
+    LazyNumpy,
     Poly,
     critical_points,
     eval_jet,
     eval_poly,
+    eval_with_derivative,
 )
+
+np = LazyNumpy(globals())
 
 FIELD_G = "g"
 FIELD_H = "h"
@@ -69,7 +71,7 @@ class Arc:
     """One traced component: samples from start node to end node."""
 
     field: str
-    samples: np.ndarray
+    samples: "np.ndarray"
     start_node: object
     end_node: object
     length: float
@@ -141,7 +143,7 @@ class TraceControl:
 
 def _field_eval(prob, field, x, y):
     # Value and gradient of the selected shifted component at (x, y).
-    w, d, _ = eval_jet(prob.base, complex(x, y))
+    w, d = eval_with_derivative(prob.base, complex(x, y))
     if field == FIELD_G:
         return w.real - prob.eps1, d.real, -d.imag
     return w.imag - prob.eps2, d.imag, d.real
@@ -230,7 +232,7 @@ def _snap_to_node(nodes, kind, x, y):
 
 # h grows after a quick corrector (1-2 Newton iterations), shrinks after
 # a slow one (4-5); indexed by the iteration count
-_STEP_FACTOR = np.array([1.0, 1.25, 1.25, 1.0, 0.7, 0.7])
+_STEP_FACTOR = (1.0, 1.25, 1.25, 1.0, 0.7, 0.7)
 # steps per block of the lockstep tracer's sample history
 _BLOCK = 256
 # step refinement for lanes whose two traces of one arc disagree
@@ -256,6 +258,7 @@ def _trace_lanes(prob, nodes, starts, ctrl):
     # gradient is conj(c f'), so -val / (c f') is the Newton step
     # -val * grad / |grad|^2 and i conj(c f') / |f'| the unit tangent.
     c = np.array([1.0 if nd.kind == P_KIND else -1j for nd in starts])
+    step_factor = np.array(_STEP_FACTOR)
     shifted = prob.shifted()
     newton_jet = JetKernel(shifted, L, c)
     check_jet = JetKernel(shifted, 2 * L, np.concatenate((c, c)))
@@ -416,7 +419,7 @@ def _trace_lanes(prob, nodes, starts, ctrl):
             row += 1
             np.logical_or(entered, rr < inside, out=entered, where=ok)
             # h stays within [min_step, 0.8 max_step]
-            np.multiply(h, _STEP_FACTOR[iters], out=h, where=ok)
+            np.multiply(h, step_factor[iters], out=h, where=ok)
             np.minimum(h, 0.8 * ctrl.max_step, out=h)
             np.maximum(h, ctrl.min_step, out=h)
             if not np.count_nonzero(active):

@@ -1,10 +1,7 @@
-import importlib
 import json
 import subprocess
 import sys
 import types
-
-import pytest
 
 from openroots.cli import parse_poly, run
 
@@ -49,15 +46,6 @@ class TestImports:
                 continue
             assert obj.__module__.startswith("openroots.")
             assert getattr(sys.modules[obj.__module__], name) is obj
-        assert set(openroots.__all__) <= set(dir(openroots))
-
-    def test_submodules_are_attributes(self):
-        import openroots
-
-        for name in ("annulus", "bounds", "cli", "descent", "errors",
-                     "matcher", "polycore", "series", "tracer"):
-            assert getattr(openroots, name) is \
-                importlib.import_module(f"openroots.{name}")
 
     def test_star_import(self):
         namespace = {}
@@ -66,13 +54,6 @@ class TestImports:
 
         for name in openroots.__all__:
             assert namespace[name] is getattr(openroots, name)
-
-    def test_unknown_attribute(self):
-        import openroots
-
-        with pytest.raises(AttributeError, match="no_such_name"):
-            openroots.no_such_name
-        assert getattr(openroots, "no_such_name", None) is None
 
 
 class TestParsePoly:

@@ -1,10 +1,10 @@
 """Bit-identity of the in-place descent step with the list-based one.
 
 The reference below is the straightforward form of the descent solver:
-Taylor recentering by dividing one quotient list after another,
-|b_k| recomputed at every halving, and f(v), f'(v) re-evaluated for the
-Newton shortcut.  The library must reproduce it exactly: same
-coefficients, same roots, same error messages.
+Taylor recentering by dividing one quotient list after another, |b_k|
+recomputed at every halving, and f(v) re-evaluated when a step finds
+the residual at the noise floor.  The library must reproduce it
+exactly: same coefficients, same roots, same error messages.
 """
 
 import cmath
@@ -13,14 +13,13 @@ import numpy as np
 import pytest
 
 from conftest import random_poly
-from openroots import Poly, all_roots, descent_step, eval_poly, taylor_shift
+from openroots import Poly, all_roots, descent_step, taylor_shift
 from openroots.errors import (
     AtTarget,
     ConvergenceFailure,
     DegenerateConstant,
     RootFindError,
 )
-from openroots.polycore import eval_jet
 
 
 def ref_synthetic_div(coeffs, v):
@@ -161,21 +160,6 @@ class TestTaylorShiftIdentity:
 
 
 class TestStep:
-    def test_value_and_slope_are_the_horner_jet(self):
-        rng = np.random.default_rng(41)
-        checked = 0
-        for n in range(1, 25):
-            p = random_poly(rng, n, monic=False)
-            for v in SHIFTS:
-                try:
-                    rep = descent_step(p, v, 0j)
-                except AtTarget:
-                    continue
-                assert (rep.value, rep.slope) == eval_jet(p, v)[:2]
-                assert rep.value == eval_poly(p, v)
-                checked += 1
-        assert checked > 250
-
     def test_matches_reference_step(self):
         rng = np.random.default_rng(42)
         for n in range(1, 17):

@@ -18,7 +18,13 @@ from openroots import (
 )
 from openroots import annulus_radius
 from openroots.errors import DegreeZero
-from openroots.polycore import JetKernel, eval_jet, eval_jets
+from openroots.polycore import (
+    JetKernel,
+    LazyNumpy,
+    eval_jet,
+    eval_jets,
+    eval_with_derivative,
+)
 
 
 def naive_eval(p, z):
@@ -63,8 +69,9 @@ class TestEval:
         for _ in range(50):
             p = random_poly(rng, int(rng.integers(1, 9)), monic=False)
             z = random_point(rng)
-            f, df, d2f2 = eval_jet(p, z)
-            assert f == eval_poly(p, z)
+            f, df = eval_with_derivative(p, z)
+            f2, df2, d2f2 = eval_jet(p, z)
+            assert f == eval_poly(p, z) and f2 == f
             assert abs(df - eval_poly(derivative(p), z)) <= 1e-12 * (1 + abs(df))
             assert abs(d2f2 - eval_poly(derivative(derivative(p)), z)) <= \
                 1e-11 * (1 + abs(d2f2))
@@ -108,6 +115,13 @@ class TestJetKernel:
     def test_linear(self):
         jets = eval_jets(Poly([2, 3]), np.array([0, 1j]))
         assert np.array_equal(jets, [[2, 2 + 3j], [3, 3], [0, 0]])
+
+
+def test_lazy_numpy_rebinds_the_global_on_first_use():
+    namespace = {}
+    namespace["np"] = LazyNumpy(namespace)
+    assert namespace["np"].pi == np.pi
+    assert namespace["np"] is np
 
 
 class TestDerivative:
