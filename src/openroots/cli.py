@@ -2,6 +2,7 @@
 optionally render the boundary-node/arc diagram as SVG."""
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -18,7 +19,7 @@ def parse_poly(text):
     """Coefficients in descending powers, whitespace separated.
 
     Plain reals ("1 0 -2") or re,im pairs ("1,0 0,1") for complex
-    coefficients; forms may be mixed.
+    coefficients; forms may be mixed.  nan and inf are rejected.
     """
     vals = []
     for tok in text.split():
@@ -29,6 +30,8 @@ def parse_poly(text):
             vals.append(complex(float(tok)))
     if not vals:
         raise ValueError("no coefficients given")
+    if not all(map(cmath.isfinite, vals)):
+        raise ValueError("coefficients must be finite")
     return Poly(vals[::-1])
 
 
@@ -127,6 +130,10 @@ def run(argv):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        print("openroots: --tol must be a finite number above 0",
+              file=sys.stderr)
+        return 1
 
     try:
         if args.poly_file:

@@ -35,6 +35,9 @@ from .tracer import (
 
 np = LazyNumpy(globals())
 
+# Interior samples per box edge in the edge-sign test.
+SAMPLES_PER_EDGE = 64
+
 
 @dataclass(frozen=True)
 class BoxND:
@@ -160,39 +163,13 @@ def _build_pair(kind, chord, other, sep, label, total):
     return pair
 
 
-def _shifted_fields(prob):
-    # (g - eps1, h - eps2) at an array of points, through one JetKernel
-    # per array length (the edge-sign test asks for the same lengths
-    # again and again)
-    kernels = {}
-
-    def fields(zs):
-        kernel = kernels.get(len(zs))
-        if kernel is None:
-            kernel = kernels[len(zs)] = JetKernel(prob.base, len(zs))
-        w = kernel(zs, 1)[0]
-        return w.real - prob.eps1, w.imag - prob.eps2
-
-    return fields
-
-
-def _plane_pair(prob):
-    # Vectorized (g - eps1, h - eps2) on arrays of plane coordinates.
-    fields = _shifted_fields(prob)
-
-    def pair(xs, ys):
-        return fields(xs + 1j * ys)
-
-    return pair
-
-
-def _pair_miranda(pair, box, m):
-    # Strict opposite signs of a 2-function system on opposite edges,
-    # m interior samples per edge plus the endpoints, searched over both
+def _pair_miranda(pair, box):
+    # Strict opposite signs of a 2-function system on opposite edges at
+    # SAMPLES_PER_EDGE interior samples plus the endpoints, over both
     # field-to-axis assignments and both sign orientations.
     (x0, y0), (x1, y1) = box.lo, box.hi
-    xs = np.linspace(x0, x1, m + 2)
-    ys = np.linspace(y0, y1, m + 2)
+    xs = np.linspace(x0, x1, SAMPLES_PER_EDGE + 2)
+    ys = np.linspace(y0, y1, SAMPLES_PER_EDGE + 2)
     left = pair(np.full_like(ys, x0), ys)
     right = pair(np.full_like(ys, x1), ys)
     bottom = pair(xs, np.full_like(xs, y0))
@@ -208,16 +185,17 @@ def _pair_miranda(pair, box, m):
     return False
 
 
-def miranda_test(prob, box, samples_per_edge=64):
-    """Strict opposite signs of the two fields on opposite box edges.
+def miranda_test(prob, box):
+    """Strict opposite signs of the two fields on opposite edges of a
+    box in plane coordinates, at SAMPLES_PER_EDGE points per edge.
 
-    Tries both assignments of field to axis and both sign orientations;
-    sampling indeterminacy returns False (conservative).  True implies,
-    at sampling resolution, a zero of (g - eps1, h - eps2) in the box.
+    Tries both assignments of field to axis and both sign orientations.
+    True implies, at sampling resolution, a zero of (g - eps1, h - eps2)
+    in the box; a zero or wrong-signed sample gives False.
     """
     if box.dim != 2:
         raise ValueError("miranda_test is the 2-D case; use miranda_test_nd")
-    return _pair_miranda(_plane_pair(prob), box, samples_per_edge)
+    return _pair_miranda(_rotated_pair(prob, 0j, 0.0)[0], box)
 
 
 def miranda_test_nd(funcs, box, grid_points=9):
@@ -306,17 +284,8 @@ def _closest_approach(arc_a, arc_b, chunk=1 << 18):
     return i, j, math.sqrt(d2)
 
 
-def _local_spacing(samples, i):
-    spans = []
-    if i > 0:
-        spans.append(float(np.linalg.norm(samples[i] - samples[i - 1])))
-    if i + 1 < len(samples):
-        spans.append(float(np.linalg.norm(samples[i + 1] - samples[i])))
-    return max(spans) if spans else 0.0
-
-
-def _residual(prob, x, y):
-    w = eval_poly(prob.base, complex(x, y))
+def _residual(prob, z):
+    w = eval_poly(prob.base, z)
     return math.hypot(w.real - prob.eps1, w.imag - prob.eps2)
 
 
@@ -329,11 +298,10 @@ def _split(box, axis, frac=0.5):
     return BoxND(lo, hi_a), BoxND(lo_b, hi)
 
 
-def _newton_refine(prob, x, y, max_iter=60):
-    # Damped complex Newton for f(z) = eps1 + i eps2 from (x, y); gives
-    # a sharp box center when the polyline sampling is coarse.  Best
-    # effort: the box certification is what validates the result.
-    z = complex(x, y)
+def _newton_refine(prob, z, max_iter=60):
+    # Damped complex Newton for f(z) = eps1 + i eps2 from z; gives the
+    # center of the crossing frame, sharper than the polyline sampling.
+    # None when it stalls above the noise floor or meets f' = 0.
     target = complex(prob.eps1, prob.eps2)
     res = abs(eval_poly(prob.base, z) - target)
     floor = 1e-10 * (1.0 + abs(target))
@@ -360,121 +328,106 @@ def _newton_refine(prob, x, y, max_iter=60):
 
 
 def _rotated_pair(prob, center, alpha):
-    # The field pair in a frame rotated by alpha about ``center``:
-    # for alpha = -arg f'(z*) the level curve of the first component
-    # runs vertically through z*, the second horizontally, which is the
-    # orientation the edge-sign test needs.
+    # (g - eps1, h - eps2) on arrays of coordinates of the frame rotated
+    # by alpha about ``center``, through one JetKernel per array length
+    # (the edge-sign test asks for the same lengths again and again),
+    # and the map from frame to plane.  For alpha = -arg f'(z*) the level
+    # curve of the first field runs vertically through z*, the second
+    # horizontally, which is the orientation the edge-sign test needs.
     rot = complex(math.cos(alpha), math.sin(alpha))
-    fields = _shifted_fields(prob)
+    kernels = {}
 
     def pair(us, vs):
-        return fields(center + (us + 1j * vs) * rot)
+        kernel = kernels.get(len(us))
+        if kernel is None:
+            kernel = kernels[len(us)] = JetKernel(prob.base, len(us))
+        w = kernel(center + (us + 1j * vs) * rot, 1)[0]
+        return w.real - prob.eps1, w.imag - prob.eps2
 
     return pair, (lambda u, v: center + complex(u, v) * rot)
 
 
-def _grow_box(pair, half, cap, m):
+def _grow_box(pair, half, cap):
     while half <= cap:
         box = BoxND((-half, -half), (half, half))
-        if _pair_miranda(pair, box, m):
+        if _pair_miranda(pair, box):
             return box
         half *= 2.0
     return None
 
 
-def _bisect_box(prob, pair, to_plane, box, tol, m):
-    # Shrink a passing box to diameter <= tol; None if the descent
-    # dead-ends (no child passes), so the caller can try another frame.
+def _bisect_box(prob, pair, to_plane, box, tol):
+    # Shrink a passing box to diameter <= tol by keeping a passing child
+    # of each cut; when both children pass, the one whose center has
+    # the smaller residual.  None if no child of some cut passes, or if
+    # 400 cuts do not reach tol.
     for _ in range(400):
         w = box.widths
         if math.hypot(*w) <= tol:
             return box
         axis_order = (0, 1) if w[0] >= w[1] else (1, 0)
-        chosen = None
         # off-center cuts first: a zero at the exact center (the usual
         # case after Newton refinement) must not lie on the cut line,
         # where a child can pass with the zero on its boundary
-        for axis in axis_order:
-            for frac in (0.375, 0.625, 0.5):
-                a, b = _split(box, axis, frac)
-                pa, pb = _pair_miranda(pair, a, m), _pair_miranda(pair, b, m)
-                if pa and pb:
-                    za, zb = to_plane(*a.center), to_plane(*b.center)
-                    ra = _residual(prob, za.real, za.imag)
-                    rb = _residual(prob, zb.real, zb.imag)
-                    chosen = a if ra <= rb else b
-                elif pa:
-                    chosen = a
-                elif pb:
-                    chosen = b
-                if chosen is not None:
-                    break
-            if chosen is not None:
+        for axis, frac in itertools.product(axis_order, (0.375, 0.625, 0.5)):
+            a, b = _split(box, axis, frac)
+            pa, pb = _pair_miranda(pair, a), _pair_miranda(pair, b)
+            if pa and pb:
+                ra = _residual(prob, to_plane(*a.center))
+                rb = _residual(prob, to_plane(*b.center))
+                box = a if ra <= rb else b
                 break
-        if chosen is None:
+            if pa or pb:
+                box = a if pa else b
+                break
+        else:
             return None
-        box = chosen
     return None
 
 
-def locate_crossing(prob, arc_a, arc_b, tol=1e-10, samples_per_edge=64):
+def locate_crossing(prob, arc_a, arc_b, tol=1e-10):
     """Localize the guaranteed crossing of a g-arc and an h-arc.
 
-    Seeds a box of half-width 4 local sample spacings around the
-    closest-approach midpoint; a box passing the edge-sign test is
-    bisected along its longer axis, keeping a passing child, until the
-    diameter is <= tol.  Axis-aligned edge signs only settle when the
-    local curves run roughly parallel to the axes, so when the seed box
-    or its bisection dead-ends, the midpoint is sharpened by damped
-    Newton and the procedure repeats in a frame rotated by -arg f'
-    (growing from a small box, doubling, capped at the disc radius);
-    a frame rotated by the local arc tangent is the last resort.
+    Damped Newton from the closest approach of the two polylines gives
+    z*.  In the frame rotated by -arg f'(z*) about z*, the g-curve runs
+    vertically and the h-curve horizontally through z*, as the edge-sign
+    test needs (for analytic f, the inverse-Jacobian preconditioner of a
+    Miranda test is this rotation and a scale; Frommer, Lang & Schnurr,
+    Computing 72, 2004).  A square box grows from half-width 8 tol,
+    doubling up to the disc radius, until it passes the test, and is
+    bisected to diameter <= tol; its center must then have
+    |f - eps| <= tol * max(1, |f'|).  Each failing step raises
+    LocalizationFailure naming it.
     """
     if arc_a.field != FIELD_G or arc_b.field != FIELD_H:
         raise ValueError("locate_crossing wants (g-arc, h-arc)")
     i, j, _ = _closest_approach(arc_a, arc_b)
-    mid = 0.5 * (arc_a.samples[i] + arc_b.samples[j])
-    spacing = max(_local_spacing(arc_a.samples, i),
-                  _local_spacing(arc_b.samples, j))
+    mid = complex(*(0.5 * (arc_a.samples[i] + arc_b.samples[j])))
     disc = max(float(np.max(np.linalg.norm(arc_a.samples, axis=1))),
                float(np.max(np.linalg.norm(arc_b.samples, axis=1))))
-    seed_half = max(4.0 * spacing, 16.0 * tol)
-    m = samples_per_edge
-
-    def frames():
-        plane = _plane_pair(prob)
-        seed = BoxND((mid[0] - seed_half, mid[1] - seed_half),
-                     (mid[0] + seed_half, mid[1] + seed_half))
-        if _pair_miranda(plane, seed, m):
-            yield plane, (lambda u, v: complex(u, v)), seed
-        z_ref = _newton_refine(prob, mid[0], mid[1])
-        if z_ref is not None:
-            _, df = eval_with_derivative(prob.base, z_ref)
-            if df != 0:
-                pair, to_plane = _rotated_pair(prob, z_ref, -cmath.phase(df))
-                box = _grow_box(pair, 8.0 * tol, disc, m)
-                if box is not None:
-                    yield pair, to_plane, box
-        lo, hi = max(i - 1, 0), min(i + 1, len(arc_a.samples) - 1)
-        d = arc_a.samples[hi] - arc_a.samples[lo]
-        gamma = math.atan2(d[1], d[0])
-        pair, to_plane = _rotated_pair(
-            prob, complex(mid[0], mid[1]), math.pi / 2.0 - gamma)
-        box = _grow_box(pair, seed_half, disc, m)
-        if box is not None:
-            yield pair, to_plane, box
-
-    for pair, to_plane, box in frames():
-        final = _bisect_box(prob, pair, to_plane, box, tol, m)
-        if final is None:
-            continue
-        zc = to_plane(*final.center)
-        _, dfz = eval_with_derivative(prob.base, zc)
-        grad_scale = max(1.0, abs(dfz))
-        if _residual(prob, zc.real, zc.imag) <= tol * grad_scale:
-            return zc.real, zc.imag
-    raise LocalizationFailure(
-        "no sign-certified box could be shrunk to tolerance inside the disc")
+    z_ref = _newton_refine(prob, mid)
+    if z_ref is None:
+        raise LocalizationFailure("newton: no point of f = eps found from "
+                                  f"the closest approach {mid!r}")
+    _, df = eval_with_derivative(prob.base, z_ref)
+    if df == 0:
+        raise LocalizationFailure(f"frame: f' = 0 at Newton point {z_ref!r}")
+    pair, to_plane = _rotated_pair(prob, z_ref, -cmath.phase(df))
+    box = _grow_box(pair, 8.0 * tol, disc)
+    if box is None:
+        raise LocalizationFailure(f"grow: no box about {z_ref!r} up to the "
+                                  f"disc radius {disc:.3e} passes the "
+                                  "edge-sign test")
+    final = _bisect_box(prob, pair, to_plane, box, tol)
+    if final is None:
+        raise LocalizationFailure(f"bisect: dead end below the box of "
+                                  f"width {box.widths[0]:.3e} about {z_ref!r}")
+    zc = to_plane(*final.center)
+    res = _residual(prob, zc)
+    if res > tol * max(1.0, abs(eval_with_derivative(prob.base, zc)[1])):
+        raise LocalizationFailure(f"residual: |f - eps| = {res:.3e} at {zc!r} "
+                                  f"exceeds {tol:.3e} * max(1, |f'|)")
+    return zc.real, zc.imag
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@ import subprocess
 import sys
 import types
 
+import pytest
+
 from openroots.cli import parse_poly, run
 
 
@@ -166,6 +168,20 @@ class TestExitCodes:
     def test_in_process_runner(self, capsys):
         assert run(["--poly", "5"]) == 1
         assert "degree >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["inf", "-1", "nan", "0"])
+    def test_tol_must_be_finite_and_positive(self, tol, capsys):
+        assert run(["--poly", "1 0 -2", "--method", "gauss",
+                    f"--tol={tol}"]) == 1
+        err = capsys.readouterr().err
+        assert "--tol must be a finite number above 0" in err
+
+    @pytest.mark.parametrize("text", ["1 nan", "1 inf", "1 0,-inf", "nan,0 1"])
+    def test_non_finite_coefficient(self, text, capsys):
+        assert run(["--poly", text, "--method", "gauss"]) == 1
+        assert "coefficients must be finite" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="finite"):
+            parse_poly(text)
 
 
 class TestDeterminism:

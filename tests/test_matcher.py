@@ -17,7 +17,8 @@ from openroots import (
     perturb_regular,
     run_pipeline,
 )
-from openroots.errors import InvalidMatching
+from openroots import matcher
+from openroots.errors import InvalidMatching, LocalizationFailure
 from openroots.matcher import _closest_approach
 from openroots.tracer import Matching
 
@@ -165,8 +166,8 @@ class TestMirandaNd:
             miranda_test_nd([lambda x: x[0]], BoxND((-1, -1), (1, 1)))
 
 
-def pipeline_arcs(p):
-    prob = perturb_regular(p)
+def pipeline_arcs(p, tol=1e-9):
+    prob = perturb_regular(p, tol)
     ns = locate_boundary_nodes(prob.shifted())
     mp, mq, arcs = compute_matchings(prob, ns)
     sp = find_separated_pair(mp, mq, p.degree)
@@ -201,6 +202,79 @@ class TestLocateCrossing:
         prob, arc_g, arc_h = pipeline_arcs(Poly([0, 1]))
         with pytest.raises(ValueError):
             locate_crossing(prob, arc_h, arc_g, 1e-10)
+
+    def test_random_against_numpy_roots(self):
+        rng = np.random.default_rng(2015)
+        for degree in range(4, 13):
+            coeffs = rng.normal(size=degree + 1) + 1j * rng.normal(
+                size=degree + 1)
+            # critical points at 100 tol, as run_pipeline finds them
+            prob, arc_g, arc_h = pipeline_arcs(Poly(coeffs), 1e-7)
+            x, y = locate_crossing(prob, arc_g, arc_h, 1e-10)
+            roots = np.roots(prob.shifted().coeffs[::-1])
+            assert np.min(np.abs(roots - complex(x, y))) <= 1e-6, degree
+
+    @pytest.mark.parametrize("helper, step", [
+        ("_newton_refine", "newton"), ("_grow_box", "grow"),
+        ("_bisect_box", "bisect")])
+    def test_failure_names_its_step(self, monkeypatch, helper, step):
+        prob, arc_g, arc_h = pipeline_arcs(Poly([-1, 0, 0, 1]))
+        monkeypatch.setattr(matcher, helper, lambda *a, **k: None)
+        with pytest.raises(LocalizationFailure, match=f"^{step}: "):
+            locate_crossing(prob, arc_g, arc_h, 1e-10)
+
+
+# Random monic polynomials of the gauss benchmark corpus
+# (bench/corpus.py): seed 1 case 14 (degree 16) and seed 3 case 58
+# (degree 14), as (re, im) in ascending powers.  Their crossings failed
+# to polish when found in an axis-aligned frame.
+CORPUS_CASES = {
+    "seed1-case14": [
+        (0.9336439207878271, -1.2402518643838543),
+        (0.3164829710658963, 1.0639887286091017),
+        (-1.437888694530303, 1.135828998049859),
+        (0.3683565811099103, -0.981849186063916),
+        (-0.6090193656941694, 1.1597036986001164),
+        (0.09394138374070891, -1.3602982701570798),
+        (-0.5324629760506003, 0.37940438921603653),
+        (-1.1768269332005559, -0.026136882823972685),
+        (-1.6402626712179662, -0.3091050648230621),
+        (0.4992885280252986, 0.04922052251505063),
+        (0.47248012161575453, -0.35303572326384147),
+        (-0.4247076375230628, -0.6943271395669904),
+        (0.3241608921721296, -0.5811919350465141),
+        (-0.7090066393538536, 0.22584080570666587),
+        (-0.2554468289433094, -0.34107649749844904),
+        (-1.666839764559155, 0.033577439779959646),
+        (1.0, 0.0),
+    ],
+    "seed3-case58": [
+        (0.5967354591030224, 0.6948940643792652),
+        (1.0364965678908897, -1.4385648172982846),
+        (1.1192469174820492, -1.2352349559513771),
+        (0.8941945943576637, -0.8734247931302412),
+        (-0.22774415781867785, 2.395271740091972),
+        (0.3640818632095909, 0.7155614262959428),
+        (0.3712111125391872, -0.4072894470650084),
+        (0.16801269527224266, 1.0317573324281122),
+        (-1.7386081639664932, 0.07040531237309776),
+        (0.8069003803165352, -0.6273577865535672),
+        (0.19329815226488822, 0.2575965229843051),
+        (-0.06337120187581044, 0.3603980624505836),
+        (-0.4391802318666104, 0.689598116068266),
+        (-1.749888417451276, -0.480252007420714),
+        (1.0, 0.0),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_CASES))
+def test_corpus_case_root_confirmed_by_numpy(name):
+    coeffs = [complex(re, im) for re, im in CORPUS_CASES[name]]
+    report = run_pipeline(Poly(coeffs), 1e-9)
+    assert report.residual <= 1e-9
+    roots = np.roots(coeffs[::-1])
+    assert np.min(np.abs(roots - report.root)) <= 1e-6
 
 
 class Polyline:
