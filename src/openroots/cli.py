@@ -123,6 +123,12 @@ def _root_entry(p, z):
     return {"re": z.real, "im": z.imag, "residual": abs(eval_poly(p, z))}
 
 
+def _cannot_write(path, exc):
+    print(f"openroots: cannot write {path}: {exc.strerror or exc}",
+          file=sys.stderr)
+    return 1
+
+
 def run(argv):
     """Entry point; returns the process exit code (0 ok, 1 usage, 2 failure)."""
     parser = build_parser()
@@ -165,15 +171,21 @@ def run(argv):
             if args.verbose:
                 report["stages"] = pipe.timings
             if args.svg:
-                emit_svg(pipe, args.svg)
+                try:
+                    emit_svg(pipe, args.svg)
+                except OSError as exc:
+                    return _cannot_write(args.svg, exc)
     except RootFindError as exc:
         print(f"openroots: {exc}", file=sys.stderr)
         return 2
 
     payload = json.dumps(report, indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload + "\n")
+        except OSError as exc:
+            return _cannot_write(args.out, exc)
     else:
         print(payload)
     return 0

@@ -2,10 +2,12 @@
 
 Given the two boundary matchings, sector induction finds a g-arc and an
 h-arc whose endpoints interleave on the circle; interleaving chords of
-a disc must cross, and the crossing is pinned down by sign-certified
-box bisection (opposite strict signs of the two fields on opposite box
-edges guarantee a common zero inside).  Polishing the crossing against
-the original polynomial yields a root.
+a disc must cross.  Damped Newton from the closest approach of the two
+traced polylines gives the crossing z*, and one box of diameter
+sqrt(tol) / 10 about z* must pass the edge-sign test (opposite strict
+signs of the two fields on opposite box edges guarantee a common zero
+inside; the edges are sampled at SAMPLES_PER_EDGE points).  Polishing
+the crossing against the original polynomial yields a root.
 """
 
 import cmath
@@ -57,14 +59,6 @@ class BoxND:
     @property
     def dim(self):
         return len(self.lo)
-
-    @property
-    def widths(self):
-        return tuple(b - a for a, b in zip(self.lo, self.hi))
-
-    @property
-    def center(self):
-        return tuple(0.5 * (a + b) for a, b in zip(self.lo, self.hi))
 
 
 @dataclass(frozen=True)
@@ -195,7 +189,7 @@ def miranda_test(prob, box):
     """
     if box.dim != 2:
         raise ValueError("miranda_test is the 2-D case; use miranda_test_nd")
-    return _pair_miranda(_rotated_pair(prob, 0j, 0.0)[0], box)
+    return _pair_miranda(_rotated_pair(prob, 0j, 0.0), box)
 
 
 def miranda_test_nd(funcs, box, grid_points=9):
@@ -289,15 +283,6 @@ def _residual(prob, z):
     return math.hypot(w.real - prob.eps1, w.imag - prob.eps2)
 
 
-def _split(box, axis, frac=0.5):
-    cut = box.lo[axis] + frac * (box.hi[axis] - box.lo[axis])
-    lo, hi = list(box.lo), list(box.hi)
-    hi_a, lo_b = list(box.hi), list(box.lo)
-    hi_a[axis] = cut
-    lo_b[axis] = cut
-    return BoxND(lo, hi_a), BoxND(lo_b, hi)
-
-
 def _newton_refine(prob, z, max_iter=60):
     # Damped complex Newton for f(z) = eps1 + i eps2 from z; gives the
     # center of the crossing frame, sharper than the polyline sampling.
@@ -330,10 +315,10 @@ def _newton_refine(prob, z, max_iter=60):
 def _rotated_pair(prob, center, alpha):
     # (g - eps1, h - eps2) on arrays of coordinates of the frame rotated
     # by alpha about ``center``, through one JetKernel per array length
-    # (the edge-sign test asks for the same lengths again and again),
-    # and the map from frame to plane.  For alpha = -arg f'(z*) the level
-    # curve of the first field runs vertically through z*, the second
-    # horizontally, which is the orientation the edge-sign test needs.
+    # (the four edges of a box share one length).  For alpha =
+    # -arg f'(z*) the level curve of the first field runs vertically
+    # through z*, the second horizontally, which is the orientation the
+    # edge-sign test needs.
     rot = complex(math.cos(alpha), math.sin(alpha))
     kernels = {}
 
@@ -344,45 +329,7 @@ def _rotated_pair(prob, center, alpha):
         w = kernel(center + (us + 1j * vs) * rot, 1)[0]
         return w.real - prob.eps1, w.imag - prob.eps2
 
-    return pair, (lambda u, v: center + complex(u, v) * rot)
-
-
-def _grow_box(pair, half, cap):
-    while half <= cap:
-        box = BoxND((-half, -half), (half, half))
-        if _pair_miranda(pair, box):
-            return box
-        half *= 2.0
-    return None
-
-
-def _bisect_box(prob, pair, to_plane, box, tol):
-    # Shrink a passing box to diameter <= tol by keeping a passing child
-    # of each cut; when both children pass, the one whose center has
-    # the smaller residual.  None if no child of some cut passes, or if
-    # 400 cuts do not reach tol.
-    for _ in range(400):
-        w = box.widths
-        if math.hypot(*w) <= tol:
-            return box
-        axis_order = (0, 1) if w[0] >= w[1] else (1, 0)
-        # off-center cuts first: a zero at the exact center (the usual
-        # case after Newton refinement) must not lie on the cut line,
-        # where a child can pass with the zero on its boundary
-        for axis, frac in itertools.product(axis_order, (0.375, 0.625, 0.5)):
-            a, b = _split(box, axis, frac)
-            pa, pb = _pair_miranda(pair, a), _pair_miranda(pair, b)
-            if pa and pb:
-                ra = _residual(prob, to_plane(*a.center))
-                rb = _residual(prob, to_plane(*b.center))
-                box = a if ra <= rb else b
-                break
-            if pa or pb:
-                box = a if pa else b
-                break
-        else:
-            return None
-    return None
+    return pair
 
 
 def locate_crossing(prob, arc_a, arc_b, tol=1e-10):
@@ -393,18 +340,16 @@ def locate_crossing(prob, arc_a, arc_b, tol=1e-10):
     vertically and the h-curve horizontally through z*, as the edge-sign
     test needs (for analytic f, the inverse-Jacobian preconditioner of a
     Miranda test is this rotation and a scale; Frommer, Lang & Schnurr,
-    Computing 72, 2004).  A square box grows from half-width 8 tol,
-    doubling up to the disc radius, until it passes the test, and is
-    bisected to diameter <= tol; its center must then have
-    |f - eps| <= tol * max(1, |f'|).  Each failing step raises
-    LocalizationFailure naming it.
+    Computing 72, 2004).  The square of diameter tol centred at z* in
+    that frame must pass the test, so a common zero of the two fields
+    lies within tol / 2 of z*, and z* must have
+    |f - eps| <= tol * max(1, |f'|).  Returns z* as (x, y).  Each failing
+    step raises LocalizationFailure naming it.
     """
     if arc_a.field != FIELD_G or arc_b.field != FIELD_H:
         raise ValueError("locate_crossing wants (g-arc, h-arc)")
     i, j, _ = _closest_approach(arc_a, arc_b)
     mid = complex(*(0.5 * (arc_a.samples[i] + arc_b.samples[j])))
-    disc = max(float(np.max(np.linalg.norm(arc_a.samples, axis=1))),
-               float(np.max(np.linalg.norm(arc_b.samples, axis=1))))
     z_ref = _newton_refine(prob, mid)
     if z_ref is None:
         raise LocalizationFailure("newton: no point of f = eps found from "
@@ -412,22 +357,17 @@ def locate_crossing(prob, arc_a, arc_b, tol=1e-10):
     _, df = eval_with_derivative(prob.base, z_ref)
     if df == 0:
         raise LocalizationFailure(f"frame: f' = 0 at Newton point {z_ref!r}")
-    pair, to_plane = _rotated_pair(prob, z_ref, -cmath.phase(df))
-    box = _grow_box(pair, 8.0 * tol, disc)
-    if box is None:
-        raise LocalizationFailure(f"grow: no box about {z_ref!r} up to the "
-                                  f"disc radius {disc:.3e} passes the "
-                                  "edge-sign test")
-    final = _bisect_box(prob, pair, to_plane, box, tol)
-    if final is None:
-        raise LocalizationFailure(f"bisect: dead end below the box of "
-                                  f"width {box.widths[0]:.3e} about {z_ref!r}")
-    zc = to_plane(*final.center)
-    res = _residual(prob, zc)
-    if res > tol * max(1.0, abs(eval_with_derivative(prob.base, zc)[1])):
-        raise LocalizationFailure(f"residual: |f - eps| = {res:.3e} at {zc!r} "
-                                  f"exceeds {tol:.3e} * max(1, |f'|)")
-    return zc.real, zc.imag
+    half = tol / math.sqrt(8.0)
+    box = BoxND((-half, -half), (half, half))
+    if not _pair_miranda(_rotated_pair(prob, z_ref, -cmath.phase(df)), box):
+        raise LocalizationFailure(f"box: the square of diameter {tol:.3e} "
+                                  f"about {z_ref!r} fails the edge-sign test")
+    res = _residual(prob, z_ref)
+    if res > tol * max(1.0, abs(df)):
+        raise LocalizationFailure(f"residual: |f - eps| = {res:.3e} at "
+                                  f"{z_ref!r} exceeds {tol:.3e} * "
+                                  "max(1, |f'|)")
+    return z_ref.real, z_ref.imag
 
 
 @dataclass(frozen=True)
@@ -476,7 +416,7 @@ def run_pipeline(p, tol=1e-9):
         raise DegreeZero("root finding needs degree >= 1")
     timings = {}
     with _stage("perturb", timings):
-        prob = perturb_regular(p, 100.0 * tol)
+        prob = perturb_regular(p, tol)
     with _stage("annulus", timings):
         ns = annulus_mod.locate_boundary_nodes(prob.shifted())
     with _stage("trace", timings):

@@ -152,13 +152,15 @@ def _field_eval(prob, field, x, y):
 def perturb_regular(p, tol=1e-9):
     """Pick eps1, eps2 so the shifted levels miss every critical point.
 
-    eps is the smallest candidate from {0, +d0, -d0, +2d0, ...}
-    (d0 = 1e-6 * scale) at distance > d0/2 from the relevant critical
-    values; the finitely many critical values guarantee a quick find.
+    tol is the pipeline's target residual; critical points are found to
+    residual 100 * tol.  eps is the smallest candidate from
+    {0, +d0, -d0, +2d0, ...} (d0 = 1e-6 * scale) at distance > d0/2 from
+    the relevant critical values; the finitely many critical values
+    guarantee a quick find.
     """
     base = p.monic()
     if base.degree >= 2:
-        crit = critical_points(base, tol)
+        crit = critical_points(base, 100.0 * tol)
     else:
         crit = []
     vals = [eval_poly(base, c) for c in crit]

@@ -183,6 +183,13 @@ class TestExitCodes:
         with pytest.raises(ValueError, match="finite"):
             parse_poly(text)
 
+    @pytest.mark.parametrize("flag", ["--out", "--svg"])
+    def test_unwritable_path(self, flag, tmp_path, capsys):
+        path = str(tmp_path / "missing" / "x")
+        assert run(["--poly", "1 0 1", "--method", "gauss", flag, path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"openroots: cannot write {path}: ")
+
 
 class TestDeterminism:
     def test_identical_reports(self):

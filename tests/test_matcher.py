@@ -166,8 +166,8 @@ class TestMirandaNd:
             miranda_test_nd([lambda x: x[0]], BoxND((-1, -1), (1, 1)))
 
 
-def pipeline_arcs(p, tol=1e-9):
-    prob = perturb_regular(p, tol)
+def pipeline_arcs(p):
+    prob = perturb_regular(p)
     ns = locate_boundary_nodes(prob.shifted())
     mp, mq, arcs = compute_matchings(prob, ns)
     sp = find_separated_pair(mp, mq, p.degree)
@@ -208,26 +208,60 @@ class TestLocateCrossing:
         for degree in range(4, 13):
             coeffs = rng.normal(size=degree + 1) + 1j * rng.normal(
                 size=degree + 1)
-            # critical points at 100 tol, as run_pipeline finds them
-            prob, arc_g, arc_h = pipeline_arcs(Poly(coeffs), 1e-7)
+            prob, arc_g, arc_h = pipeline_arcs(Poly(coeffs))
             x, y = locate_crossing(prob, arc_g, arc_h, 1e-10)
             roots = np.roots(prob.shifted().coeffs[::-1])
             assert np.min(np.abs(roots - complex(x, y))) <= 1e-6, degree
 
+    def test_pipeline_tol_box_holds_a_root(self):
+        # the certified box has diameter tol about the returned point, so
+        # a root of the shifted polynomial lies within tol / 2 of it
+        tol = math.sqrt(1e-9) / 10.0
+        rng = np.random.default_rng(2016)
+        for degree in range(4, 13):
+            coeffs = rng.normal(size=degree + 1) + 1j * rng.normal(
+                size=degree + 1)
+            prob, arc_g, arc_h = pipeline_arcs(Poly(coeffs))
+            x, y = locate_crossing(prob, arc_g, arc_h, tol)
+            roots = np.roots(prob.shifted().coeffs[::-1])
+            assert np.min(np.abs(roots - complex(x, y))) <= tol / 2, degree
+
+    def test_one_box_of_diameter_tol(self, monkeypatch):
+        boxes = []
+        edge_signs = matcher._pair_miranda
+
+        def spy(pair, box):
+            boxes.append(box)
+            return edge_signs(pair, box)
+
+        monkeypatch.setattr(matcher, "_pair_miranda", spy)
+        prob, arc_g, arc_h = pipeline_arcs(Poly([-1, 0, 0, 1]))
+        tol = math.sqrt(1e-9) / 10.0
+        locate_crossing(prob, arc_g, arc_h, tol)
+        (box,) = boxes
+        assert box.lo == tuple(-v for v in box.hi)
+        width = box.hi[0] - box.lo[0]
+        assert box.hi[1] - box.lo[1] == width
+        assert math.hypot(width, width) == pytest.approx(tol, rel=1e-12)
+
     @pytest.mark.parametrize("helper, step", [
-        ("_newton_refine", "newton"), ("_grow_box", "grow"),
-        ("_bisect_box", "bisect")])
+        ("_newton_refine", "newton"), ("_pair_miranda", "box"),
+        ("_residual", "residual")])
     def test_failure_names_its_step(self, monkeypatch, helper, step):
         prob, arc_g, arc_h = pipeline_arcs(Poly([-1, 0, 0, 1]))
-        monkeypatch.setattr(matcher, helper, lambda *a, **k: None)
+        failing = {"_newton_refine": None, "_pair_miranda": False,
+                   "_residual": math.inf}[helper]
+        monkeypatch.setattr(matcher, helper, lambda *a, **k: failing)
         with pytest.raises(LocalizationFailure, match=f"^{step}: "):
             locate_crossing(prob, arc_g, arc_h, 1e-10)
 
 
-# Random monic polynomials of the gauss benchmark corpus
-# (bench/corpus.py): seed 1 case 14 (degree 16) and seed 3 case 58
-# (degree 14), as (re, im) in ascending powers.  Their crossings failed
-# to polish when found in an axis-aligned frame.
+# Cases of the gauss benchmark corpus (bench/corpus.py, 20 s), as
+# (re, im) in ascending powers: random monic polynomials of seed 1 case
+# 14 (degree 16), seed 3 case 58 (degree 14) and seed 8 case 82 (degree
+# 15), and the 1e8-scaled degree-6 polynomial of seed 11 case 21.  Each
+# failed to polish a crossing found by an earlier localization: an
+# axis-aligned frame (the first two) or the centre of a bisected box.
 CORPUS_CASES = {
     "seed1-case14": [
         (0.9336439207878271, -1.2402518643838543),
@@ -264,6 +298,33 @@ CORPUS_CASES = {
         (-0.4391802318666104, 0.689598116068266),
         (-1.749888417451276, -0.480252007420714),
         (1.0, 0.0),
+    ],
+    "seed8-case82": [
+        (-0.8440872629598837, -0.3216565100921899),
+        (0.8650921043851844, 0.07117610418914434),
+        (-0.5970334710646993, 0.8302798189454127),
+        (-0.8974634210010582, -1.7616662583564913),
+        (-1.6634075408665634, -0.2219833480086559),
+        (-0.13942962549476542, -0.12747101660049354),
+        (-0.46753840851903433, 1.56265008919242),
+        (-0.9513739740901112, -0.448155034425365),
+        (-1.0220952281392668, -0.3091087319690212),
+        (2.06237696133738, -1.1401610964937625),
+        (-0.45144323018683846, 0.3600322313135962),
+        (-0.9217302279426645, -1.2603293122551833),
+        (-0.7198512975712834, 0.2780221589459481),
+        (-0.024547720646966465, 0.08710997569326735),
+        (-2.1940266036926994, -0.002146393212567485),
+        (1.0, 0.0),
+    ],
+    "seed11-case21": [
+        (-30820615.225130677, -122567627.7896421),
+        (19567827.369228255, 43363036.6502868),
+        (-27232620.276171904, -18968923.67540949),
+        (18914178.648723852, 20505133.72583017),
+        (56054393.42393614, -30381622.99032537),
+        (-9998656.324022505, 126846584.44761154),
+        (75837727.76134042, -32530772.933086265),
     ],
 }
 

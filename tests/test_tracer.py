@@ -73,6 +73,16 @@ class TestPerturbRegular:
                 assert abs(v.real - prob.eps1) > margin
                 assert abs(v.imag - prob.eps2) > margin
 
+    def test_pipeline_tol_by_default(self):
+        # critical points to 100 * tol, as run_pipeline asks for them: at
+        # 1e-9 itself the degree-10 and -11 draws stall at the noise floor
+        rng = np.random.default_rng(2015)
+        for degree in range(4, 13):
+            coeffs = rng.normal(size=degree + 1) + 1j * rng.normal(
+                size=degree + 1)
+            prob = perturb_regular(Poly(coeffs))
+            assert prob.base.degree == degree
+
     def test_shifted_polynomial(self):
         prob = perturb_regular(Poly([0, 0, 1]))
         pt = prob.shifted()
@@ -257,7 +267,7 @@ class TestLockstep:
         # jet rounds by batch position
         rng = np.random.default_rng(64)
         for n in (3, 6, 10):
-            prob = perturb_regular(random_poly(rng, n), 1e-7)
+            prob = perturb_regular(random_poly(rng, n))
             ns = locate_boundary_nodes(prob.shifted())
             ctrl = TraceControl.for_disc(ns.R, n)
             starts = ns.of_kind("P") + ns.of_kind("Q")

@@ -1,0 +1,146 @@
+"""Per-case outcomes of a benchmark corpus, and the flips between two runs.
+
+    python3 tools/outcomes.py --workload gauss --seeds 0-47 --out new.json
+    python3 tools/outcomes.py --diff old.json new.json
+
+The first form solves every case of the workload's corpus (bench/corpus.py,
+``--seconds`` as in bench/run.py) once, in this process, with the solver
+the case names (``all_roots`` or ``run_pipeline`` at tol 1e-9, as the
+benchmark calls them; cli-cold cases are solved in process too), and
+classifies each answer with the benchmark's oracle (bench/oracle.py).  It
+writes one record per case: seed, index, family, degree, method, the
+oracle's kind and reason, the failing stage, the roots, the solve time and,
+for a gauss solve, the pipeline's stage times.
+
+The second form prints the failed count of each seed on both sides and
+every case whose kind changed.  The package is imported from the ``src/``
+next to this script; copy the script into another checkout to record that
+checkout.
+"""
+
+import argparse
+import json
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "bench"))
+
+import corpus  # noqa: E402
+import oracle  # noqa: E402
+
+
+def _seed_range(text):
+    first, _, last = text.partition("-")
+    first, last = int(first), int(last or first)
+    if first < 0 or last < first:
+        raise argparse.ArgumentTypeError("seeds are A-B with 0 <= A <= B")
+    return range(first, last + 1)
+
+
+def _solve(openroots, case):
+    # (outcome, pipeline stage times or None)
+    from openroots.errors import RootFindError
+
+    poly = openroots.Poly(case.coeffs)
+    try:
+        if case.method == "descent":
+            return oracle.Outcome(roots=tuple(
+                openroots.all_roots(poly, oracle.TOL))), None
+        report = openroots.run_pipeline(poly, oracle.TOL)
+        return oracle.Outcome(roots=(report.root,)), dict(report.timings)
+    except RootFindError as exc:
+        return oracle.Outcome(error=f"{type(exc).__name__}: {exc}",
+                              stage=getattr(exc, "stage", None)), None
+    except Exception as exc:  # recorded as a crash, as the benchmark does
+        return oracle.Outcome(crash=f"{type(exc).__name__}: {exc}"), None
+
+
+def record(workload, seeds, seconds):
+    import openroots
+
+    rows = []
+    for seed in seeds:
+        for index, case in enumerate(corpus.build(workload, seed, seconds)):
+            start = time.perf_counter()
+            outcome, stages = _solve(openroots, case)
+            solve_s = time.perf_counter() - start
+            verdict = oracle.verify(case, outcome)
+            rows.append({
+                "seed": seed, "index": index, "family": case.family,
+                "degree": case.degree, "method": case.method,
+                "kind": verdict.kind, "reason": verdict.reason,
+                "stage": outcome.stage,
+                "roots": [[z.real, z.imag] for z in outcome.roots or ()],
+                "solve_s": solve_s, "stages": stages,
+            })
+    return rows
+
+
+def _failed(row):
+    return row["kind"] != oracle.OK
+
+
+def _status(row):
+    if not _failed(row):
+        return "ok"
+    return f"{row['kind']} in {row['stage']}" if row["stage"] else row["kind"]
+
+
+def diff(old, new):
+    """Lines comparing two record lists of the same corpus."""
+    key = (lambda r: (r["seed"], r["index"], r["method"]))
+    before = {key(r): r for r in old}
+    after = {key(r): r for r in new}
+    if before.keys() != after.keys():
+        raise SystemExit("the two records cover different cases")
+    lines = ["seed  failed before  after"]
+    for seed in sorted({k[0] for k in before}):
+        a, b = (sum(_failed(r) for k, r in side.items() if k[0] == seed)
+                for side in (before, after))
+        lines.append(f"{seed:4d}  {a:13d}  {b:5d}")
+    a, b = (sum(map(_failed, side.values())) for side in (before, after))
+    lines.append(f"all   {a:13d}  {b:5d}")
+    flips = [k for k in sorted(before)
+             if _failed(before[k]) != _failed(after[k])]
+    lines.append(f"{len(flips)} cases flipped")
+    for k in flips:
+        a, b = before[k], after[k]
+        why = b["reason"] if _failed(b) else a["reason"]
+        lines.append(f"  seed {k[0]} case {k[1]} ({a['method']}, "
+                     f"{a['family']}, degree {a['degree']}): {_status(a)} -> "
+                     f"{_status(b)}: {why[:160]}")
+    moved = sum(not _failed(before[k]) and not _failed(after[k])
+                and before[k]["roots"] != after[k]["roots"] for k in before)
+    lines.append(f"{moved} cases ok on both sides return different roots")
+    return lines
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--workload", choices=corpus.WORKLOADS)
+    mode.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"))
+    ap.add_argument("--seeds", type=_seed_range, default=range(0, 1),
+                    help="seed range A-B, both ends included (default 0)")
+    ap.add_argument("--seconds", type=int, default=20,
+                    help="corpus size, as bench/run.py --seconds")
+    ap.add_argument("--out", help="write the records here (with --workload)")
+    args = ap.parse_args()
+    if args.diff:
+        old, new = (json.loads(Path(p).read_text()) for p in args.diff)
+        print("\n".join(diff(old, new)))
+        return 0
+    if not args.out:
+        ap.error("--workload needs --out")
+    rows = record(args.workload, args.seeds, args.seconds)
+    Path(args.out).write_text(json.dumps(rows) + "\n")
+    failed = sum(map(_failed, rows))
+    print(f"{args.workload}: {len(rows)} cases, {failed} failed -> {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
