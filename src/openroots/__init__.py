@@ -9,7 +9,7 @@ Two complete root finders over a shared polynomial core:
 * ``matcher.gauss_root``: trace the level curves Re f = eps1 and
   Im f = eps2 through the disc bounded by the node circle, pair up
   their boundary nodes, pick an interleaving pair of arcs, and pin the
-  forced crossing with one sign-certified box about its Newton point.
+  forced crossing in a box about its Newton point, proven in closed form.
 
 Supporting modules: quantitative radii (``bounds``), boundary nodes on
 the large circle (``annulus``), truncated-series contraction solving

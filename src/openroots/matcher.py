@@ -3,14 +3,13 @@
 Given the two boundary matchings, sector induction finds a g-arc and an
 h-arc whose endpoints interleave on the circle; interleaving chords of
 a disc must cross.  Damped Newton from the closest approach of the two
-traced polylines gives the crossing z*, and one box of diameter
-sqrt(tol) / 10 about z* must pass the edge-sign test (opposite strict
-signs of the two fields on opposite box edges guarantee a common zero
-inside; the edges are sampled at SAMPLES_PER_EDGE points).  Polishing
-the crossing against the original polynomial yields a root.
+traced polylines gives the crossing z*, and the Taylor coefficients of
+f - eps at z* prove, in closed form, that one box of diameter
+sqrt(tol) / 10 about z* holds a common zero of the two fields (strict
+opposite signs on opposite box edges, the Poincare-Miranda hypothesis).
+Polishing the crossing against the original polynomial yields a root.
 """
 
-import cmath
 import itertools
 import math
 import time
@@ -24,8 +23,10 @@ from .errors import (
     DegreeZero,
     LocalizationFailure,
     PipelineError,
+    RootFindError,
 )
-from .polycore import JetKernel, LazyNumpy, eval_poly, eval_with_derivative
+from .polycore import (LazyNumpy, eval_poly, eval_with_derivative,
+                       rounding_floor, taylor_shift)
 from .tracer import (
     FIELD_G,
     FIELD_H,
@@ -36,9 +37,6 @@ from .tracer import (
 )
 
 np = LazyNumpy(globals())
-
-# Interior samples per box edge in the edge-sign test.
-SAMPLES_PER_EDGE = 64
 
 
 @dataclass(frozen=True)
@@ -157,39 +155,34 @@ def _build_pair(kind, chord, other, sep, label, total):
     return pair
 
 
-def _pair_miranda(pair, box):
-    # Strict opposite signs of a 2-function system on opposite edges at
-    # SAMPLES_PER_EDGE interior samples plus the endpoints, over both
-    # field-to-axis assignments and both sign orientations.
-    (x0, y0), (x1, y1) = box.lo, box.hi
-    xs = np.linspace(x0, x1, SAMPLES_PER_EDGE + 2)
-    ys = np.linspace(y0, y1, SAMPLES_PER_EDGE + 2)
-    left = pair(np.full_like(ys, x0), ys)
-    right = pair(np.full_like(ys, x1), ys)
-    bottom = pair(xs, np.full_like(xs, y0))
-    top = pair(xs, np.full_like(xs, y1))
-    for a in (0, 1):  # which field takes the x-axis pair
-        b = 1 - a
-        for s1 in (1.0, -1.0):
-            if not (np.all(s1 * left[a] < 0) and np.all(s1 * right[a] > 0)):
-                continue
-            for s2 in (1.0, -1.0):
-                if np.all(s2 * bottom[b] < 0) and np.all(s2 * top[b] > 0):
-                    return True
-    return False
+def _pair_miranda(prob, z, half):
+    # With w = u + iv in the frame rotated by -arg b_1 about z, f - eps =
+    # b_0 + |b_1| w + T, |T| <= sum_{k>=2} |b_k| r^k on |u|, |v| <= half.
+    # If |b_0| + that tail + rounding < |b_1| half, g - eps1 has strict
+    # opposite signs at u = -half and u = half, h - eps2 at v = +-half.
+    shifted = prob.shifted()
+    b = taylor_shift(shifted, z).coeffs
+    r = math.sqrt(2.0) * half
+    tail = 0.0
+    for c in reversed(b[2:]):
+        tail = tail * r + abs(c)
+    lhs = abs(b[0]) + tail * r * r + rounding_floor(shifted, abs(z) + r)
+    return lhs < abs(b[1]) * half
 
 
 def miranda_test(prob, box):
-    """Strict opposite signs of the two fields on opposite edges of a
-    box in plane coordinates, at SAMPLES_PER_EDGE points per edge.
-
-    Tries both assignments of field to axis and both sign orientations.
-    True implies, at sampling resolution, a zero of (g - eps1, h - eps2)
-    in the box; a zero or wrong-signed sample gives False.
+    """``miranda_test_nd`` for g - eps1 and h - eps2 on a box in plane
+    coordinates at 66 points per edge, corners included: non-strict
+    opposite signs on opposite edges, over both field-to-axis assignments
+    and both sign orientations (the classical Poincare-Miranda
+    hypothesis), so True implies a zero in the box at sampling resolution.
     """
     if box.dim != 2:
         raise ValueError("miranda_test is the 2-D case; use miranda_test_nd")
-    return _pair_miranda(_rotated_pair(prob, 0j, 0.0), box)
+    f = prob.shifted()
+    return miranda_test_nd([lambda pt: eval_poly(f, complex(*pt)).real,
+                            lambda pt: eval_poly(f, complex(*pt)).imag],
+                           box, grid_points=66)
 
 
 def miranda_test_nd(funcs, box, grid_points=9):
@@ -278,18 +271,12 @@ def _closest_approach(arc_a, arc_b, chunk=1 << 18):
     return i, j, math.sqrt(d2)
 
 
-def _residual(prob, z):
-    w = eval_poly(prob.base, z)
-    return math.hypot(w.real - prob.eps1, w.imag - prob.eps2)
-
-
 def _newton_refine(prob, z, max_iter=60):
     # Damped complex Newton for f(z) = eps1 + i eps2 from z; gives the
-    # center of the crossing frame, sharper than the polyline sampling.
-    # None when it stalls above the noise floor or meets f' = 0.
+    # center of the crossing box, sharper than the polyline sampling.
+    # None when it stops above the rounding floor or meets f' = 0.
     target = complex(prob.eps1, prob.eps2)
     res = abs(eval_poly(prob.base, z) - target)
-    floor = 1e-10 * (1.0 + abs(target))
     for _ in range(max_iter):
         f, df = eval_with_derivative(prob.base, z)
         if df == 0:
@@ -306,30 +293,9 @@ def _newton_refine(prob, z, max_iter=60):
             r = abs(eval_poly(prob.base, cand) - target)
             halvings += 1
         if r >= res:
-            # stalled at the noise floor: accept if essentially a zero
-            return z if res <= floor else None
+            break  # stalled: accept if essentially a zero
         z, res = cand, r
-    return z if res <= floor else None
-
-
-def _rotated_pair(prob, center, alpha):
-    # (g - eps1, h - eps2) on arrays of coordinates of the frame rotated
-    # by alpha about ``center``, through one JetKernel per array length
-    # (the four edges of a box share one length).  For alpha =
-    # -arg f'(z*) the level curve of the first field runs vertically
-    # through z*, the second horizontally, which is the orientation the
-    # edge-sign test needs.
-    rot = complex(math.cos(alpha), math.sin(alpha))
-    kernels = {}
-
-    def pair(us, vs):
-        kernel = kernels.get(len(us))
-        if kernel is None:
-            kernel = kernels[len(us)] = JetKernel(prob.base, len(us))
-        w = kernel(center + (us + 1j * vs) * rot, 1)[0]
-        return w.real - prob.eps1, w.imag - prob.eps2
-
-    return pair
+    return z if res <= rounding_floor(prob.shifted(), abs(z)) else None
 
 
 def locate_crossing(prob, arc_a, arc_b, tol=1e-10):
@@ -337,14 +303,15 @@ def locate_crossing(prob, arc_a, arc_b, tol=1e-10):
 
     Damped Newton from the closest approach of the two polylines gives
     z*.  In the frame rotated by -arg f'(z*) about z*, the g-curve runs
-    vertically and the h-curve horizontally through z*, as the edge-sign
-    test needs (for analytic f, the inverse-Jacobian preconditioner of a
-    Miranda test is this rotation and a scale; Frommer, Lang & Schnurr,
-    Computing 72, 2004).  The square of diameter tol centred at z* in
-    that frame must pass the test, so a common zero of the two fields
-    lies within tol / 2 of z*, and z* must have
-    |f - eps| <= tol * max(1, |f'|).  Returns z* as (x, y).  Each failing
-    step raises LocalizationFailure naming it.
+    vertically and the h-curve horizontally through z* (for analytic f,
+    the inverse-Jacobian preconditioner of a Miranda test is this
+    rotation and a scale; Frommer, Lang & Schnurr, Computing 72, 2004).
+    The Taylor coefficients b_k of f - eps at z* must prove strict
+    opposite edge signs on the square of diameter tol centred at z* in
+    that frame (``_pair_miranda``), so a common zero of the two fields
+    lies within tol / 2 of z*.  The proof also gives |f(z*) - eps| <
+    |f'(z*)| tol / sqrt(8).  Returns z* as (x, y).  Each failing step
+    raises LocalizationFailure naming it.
     """
     if arc_a.field != FIELD_G or arc_b.field != FIELD_H:
         raise ValueError("locate_crossing wants (g-arc, h-arc)")
@@ -354,19 +321,10 @@ def locate_crossing(prob, arc_a, arc_b, tol=1e-10):
     if z_ref is None:
         raise LocalizationFailure("newton: no point of f = eps found from "
                                   f"the closest approach {mid!r}")
-    _, df = eval_with_derivative(prob.base, z_ref)
-    if df == 0:
-        raise LocalizationFailure(f"frame: f' = 0 at Newton point {z_ref!r}")
-    half = tol / math.sqrt(8.0)
-    box = BoxND((-half, -half), (half, half))
-    if not _pair_miranda(_rotated_pair(prob, z_ref, -cmath.phase(df)), box):
-        raise LocalizationFailure(f"box: the square of diameter {tol:.3e} "
-                                  f"about {z_ref!r} fails the edge-sign test")
-    res = _residual(prob, z_ref)
-    if res > tol * max(1.0, abs(df)):
-        raise LocalizationFailure(f"residual: |f - eps| = {res:.3e} at "
-                                  f"{z_ref!r} exceeds {tol:.3e} * "
-                                  "max(1, |f'|)")
+    if not _pair_miranda(prob, z_ref, tol / math.sqrt(8.0)):
+        raise LocalizationFailure(f"box: the Taylor coefficients at {z_ref!r}"
+                                  " do not prove the edge signs of the "
+                                  f"square of diameter {tol:.3e}")
     return z_ref.real, z_ref.imag
 
 
@@ -392,7 +350,7 @@ def _stage(name, timings):
     t0 = time.perf_counter()
     try:
         yield
-    except Exception as exc:
+    except RootFindError as exc:
         raise PipelineError(name, exc) from exc
     finally:
         timings[name] = time.perf_counter() - t0

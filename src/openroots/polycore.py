@@ -112,6 +112,28 @@ def eval_poly(p, z):
     return acc
 
 
+def rounding_floor(p, x):
+    """gamma * sum |a_i| x^i for degree n: bounds the rounding error of
+    Horner's p(z), and sum_k |b^_k - b_k| r^k over the coefficients of
+    taylor_shift(p, z), wherever |z| + r <= x (barring underflow).
+
+    gamma = gamma_(17n+10), gamma_m = m u / (1 - m u), u = 2**-53 (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1, 3.6,
+    5.1).  A path a_i -> b_k has <= n complex products (sqrt(2) gamma_2
+    <= gamma_3) and <= n sums: gamma_4n.  A constant term rounded when p
+    was formed (eps in ``PerturbedProblem.shifted``): gamma_1.  A test
+    comparing float sums of <= n + 2 terms |b_k| r^k, total <= 2 M, each
+    within gamma_(4n+2): gamma_(8n+4).  This sum, at an x within gamma_3
+    of |z| + r, is short by <= gamma_(5n+5): gamma_(12n+5) / (1 -
+    gamma_(5n+5)) <= gamma_(17n+10).
+    """
+    m = 17 * p.degree + 10
+    acc = 0.0
+    for a in reversed(p.coeffs):
+        acc = acc * x + abs(a)
+    return m * 2.0 ** -53 / (1.0 - m * 2.0 ** -53) * acc
+
+
 def eval_with_derivative(p, z):
     """One Horner pass returning (p(z), p'(z))."""
     z = complex(z)

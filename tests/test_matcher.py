@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from openroots import (
     BoxND,
@@ -18,9 +20,15 @@ from openroots import (
     run_pipeline,
 )
 from openroots import matcher
-from openroots.errors import InvalidMatching, LocalizationFailure
+from openroots.errors import (
+    ConvergenceFailure,
+    InvalidMatching,
+    LocalizationFailure,
+    PipelineError,
+)
 from openroots.matcher import _closest_approach
-from openroots.tracer import Matching
+from openroots.polycore import eval_with_derivative
+from openroots.tracer import Matching, PerturbedProblem
 
 
 def involutions(items):
@@ -227,33 +235,73 @@ class TestLocateCrossing:
             assert np.min(np.abs(roots - complex(x, y))) <= tol / 2, degree
 
     def test_one_box_of_diameter_tol(self, monkeypatch):
-        boxes = []
-        edge_signs = matcher._pair_miranda
+        calls = []
+        certify = matcher._pair_miranda
 
-        def spy(pair, box):
-            boxes.append(box)
-            return edge_signs(pair, box)
+        def spy(prob, z, half):
+            calls.append((z, half))
+            return certify(prob, z, half)
 
         monkeypatch.setattr(matcher, "_pair_miranda", spy)
         prob, arc_g, arc_h = pipeline_arcs(Poly([-1, 0, 0, 1]))
         tol = math.sqrt(1e-9) / 10.0
-        locate_crossing(prob, arc_g, arc_h, tol)
-        (box,) = boxes
-        assert box.lo == tuple(-v for v in box.hi)
-        width = box.hi[0] - box.lo[0]
-        assert box.hi[1] - box.lo[1] == width
-        assert math.hypot(width, width) == pytest.approx(tol, rel=1e-12)
+        xy = locate_crossing(prob, arc_g, arc_h, tol)
+        ((z, half),) = calls
+        assert (z.real, z.imag) == xy
+        assert half * math.sqrt(8.0) == pytest.approx(tol, rel=1e-15)
+
+    def test_residual_within_contract(self):
+        # the certificate gives |f(z*) - eps| < |f'(z*)| tol / sqrt(8)
+        tol = 1e-10
+        rng = np.random.default_rng(2015)
+        for degree in range(4, 13):
+            coeffs = rng.normal(size=degree + 1) + 1j * rng.normal(
+                size=degree + 1)
+            prob, arc_g, arc_h = pipeline_arcs(Poly(coeffs))
+            z = complex(*locate_crossing(prob, arc_g, arc_h, tol))
+            f, df = eval_with_derivative(prob.base, z)
+            res = abs(f - complex(prob.eps1, prob.eps2))
+            assert res <= tol * max(1.0, abs(df)), degree
 
     @pytest.mark.parametrize("helper, step", [
-        ("_newton_refine", "newton"), ("_pair_miranda", "box"),
-        ("_residual", "residual")])
+        ("_newton_refine", "newton"), ("_pair_miranda", "box")])
     def test_failure_names_its_step(self, monkeypatch, helper, step):
         prob, arc_g, arc_h = pipeline_arcs(Poly([-1, 0, 0, 1]))
-        failing = {"_newton_refine": None, "_pair_miranda": False,
-                   "_residual": math.inf}[helper]
+        failing = {"_newton_refine": None, "_pair_miranda": False}[helper]
         monkeypatch.setattr(matcher, helper, lambda *a, **k: failing)
         with pytest.raises(LocalizationFailure, match=f"^{step}: "):
             locate_crossing(prob, arc_g, arc_h, 1e-10)
+
+
+coefficients = st.complex_numbers(max_magnitude=3, allow_nan=False,
+                                  allow_infinity=False)
+
+
+class TestPairMiranda:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(coefficients, min_size=2, max_size=12),
+           st.floats(-1e-3, 1e-3), st.floats(-1e-3, 1e-3), st.data())
+    def test_certified_square_holds_a_root(self, low, eps1, eps2, data):
+        prob = PerturbedProblem(Poly(low + [1]), eps1, eps2)
+        roots = np.roots(prob.shifted().coeffs[::-1])
+        near = st.builds(
+            lambda w, e, t: complex(w) + 10.0 ** e * cmath.exp(1j * t),
+            st.sampled_from(list(roots)), st.floats(-14, 0),
+            st.floats(0, 2 * math.pi))
+        z = data.draw(st.one_of(near, st.complex_numbers(max_magnitude=4)))
+        half = 10.0 ** data.draw(st.floats(-12, 0))
+        if matcher._pair_miranda(prob, z, half):
+            assert np.min(np.abs(roots - z)) <= math.sqrt(2.0) * half
+
+    def test_double_root_outside_square(self):
+        # |b_0| = 0.25 < |b_1| half = 0.3, but the double root at 0.5 is
+        # outside the square; the tail |b_2| r^2 = 0.18 rejects it
+        prob = PerturbedProblem(Poly([0.25, -1, 1]), 0, 0)
+        assert matcher._pair_miranda(prob, 0j, 0.3) is False
+
+    def test_square_below_rounding_floor(self):
+        prob = PerturbedProblem(Poly([-1, 1]), 0, 0)
+        assert matcher._pair_miranda(prob, 1 + 0j, 1e-17) is False
 
 
 # Cases of the gauss benchmark corpus (bench/corpus.py, 20 s), as
@@ -403,6 +451,24 @@ class TestGaussRoot:
         assert set(rep.timings) == {
             "perturb", "annulus", "trace", "match", "crossing", "polish"}
         assert rep.match_p.validate() and rep.match_q.validate()
+
+    def test_bug_is_not_a_stage_failure(self, monkeypatch):
+        def broken(*args):
+            raise TypeError("a bug, not a solver failure")
+
+        monkeypatch.setattr(matcher, "find_separated_pair", broken)
+        with pytest.raises(TypeError):
+            run_pipeline(Poly([-1, 0, 0, 1]), 1e-9)
+
+    def test_solver_failure_names_its_stage(self, monkeypatch):
+        def stuck(*args):
+            raise ConvergenceFailure("stuck")
+
+        monkeypatch.setattr(matcher, "find_separated_pair", stuck)
+        with pytest.raises(PipelineError) as info:
+            run_pipeline(Poly([-1, 0, 0, 1]), 1e-9)
+        assert info.value.stage == "match"
+        assert isinstance(info.value.cause, ConvergenceFailure)
 
     def test_seed_determinism(self):
         a = run_pipeline(Poly([-1, 0, 0, 1]), 1e-9)

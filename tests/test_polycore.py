@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from openroots.polycore import (
     eval_jet,
     eval_jets,
     eval_with_derivative,
+    rounding_floor,
 )
 
 
@@ -175,6 +177,41 @@ class TestTaylorShift:
         assert len(back.coeffs) == len(p.coeffs)
         for a, b in zip(back.coeffs, p.coeffs):
             assert abs(a - b) <= 1e-10 * scale
+
+
+def exact_taylor(p, v):
+    # Taylor coefficients of p at v as exact (re, im) pairs of Fractions,
+    # by the repeated synthetic division of taylor_shift
+    vr, vi = Fraction(v.real), Fraction(v.imag)
+    a = [(Fraction(c.real), Fraction(c.imag)) for c in p.coeffs]
+    for j in range(p.degree):
+        for i in range(p.degree - 1, j - 1, -1):
+            (ar, ai), (br, bi) = a[i], a[i + 1]
+            a[i] = (ar + vr * br - vi * bi, ai + vr * bi + vi * br)
+    return a
+
+
+def exact_error(c, exact):
+    # |c - exact| for a float complex c, each part's difference rounded once
+    return abs(complex(float(Fraction(c.real) - exact[0]),
+                       float(Fraction(c.imag) - exact[1])))
+
+
+class TestRoundingFloor:
+    def test_bounds_horner_and_taylor_shift(self):
+        rng = np.random.default_rng(53)
+        for _ in range(60):
+            degree = int(rng.integers(1, 17))
+            p = random_poly(rng, degree, scale=10.0 ** rng.uniform(-3, 3),
+                            monic=False)
+            v = random_point(rng, radius=10.0 ** rng.uniform(-2, 1))
+            r = 10.0 ** rng.uniform(-12, 0)
+            floor = rounding_floor(p, abs(v) + r)
+            exact = exact_taylor(p, v)
+            assert exact_error(eval_poly(p, v), exact[0]) <= floor
+            shifted = taylor_shift(p, v).coeffs
+            assert sum(exact_error(b, e) * r ** k for k, (b, e) in
+                       enumerate(zip(shifted, exact))) <= floor
 
 
 class TestSyntheticDiv:
