@@ -11,7 +11,9 @@ cardinalities are locally constant.
 """
 
 import cmath
-from dataclasses import dataclass
+from collections import namedtuple
+from itertools import repeat
+from operator import mul
 
 from .errors import (
     AtTarget,
@@ -19,25 +21,23 @@ from .errors import (
     DegenerateConstant,
     DegreeZero,
 )
+# eval_with_derivative is not called here; bench/tests/test_probes.py
+# deletes this binding to check that absent probes are reported.
 from .polycore import Poly, eval_poly, eval_with_derivative, synthetic_div, taylor_shift
 
 
-@dataclass(frozen=True)
-class DescentStepReport:
-    """One accepted descent step.
+class DescentStepReport(namedtuple(
+        "DescentStepReport", "s beta psi before after step value slope")):
+    """One accepted descent step, as an immutable tuple.
 
     s is the lowest index >= 1 with b_s != 0 after recentering; psi the
-    step phase; before/after the residuals |t - f(v)| and |t - f(v+p)|.
-    Guarantees after < before and s*psi + arg(b_s) = arg(t - f(v))
-    modulo 2 pi.
+    step phase; before/after the residuals |t - f(v)| and |t - f(v+p)|;
+    value and slope are b_0 = f(v) and b_1 = f'(v), the first two
+    recentered coefficients.  Guarantees after < before and
+    s*psi + arg(b_s) = arg(t - f(v)) modulo 2 pi.
     """
 
-    s: int
-    beta: float
-    psi: float
-    before: float
-    after: float
-    step: complex
+    __slots__ = ()
 
 
 def descent_step(p, v, t, radius_cap=None):
@@ -55,10 +55,12 @@ def descent_step(p, v, t, radius_cap=None):
     """
     if p.degree < 1:
         raise DegreeZero("descent needs degree >= 1")
-    v = complex(v)
-    t = complex(t)
+    if type(v) is not complex:
+        v = complex(v)
+    if type(t) is not complex:
+        t = complex(t)
     b = taylor_shift(p, v).coeffs
-    mags = [abs(c) for c in b]
+    mags = list(map(abs, b))
     drop = 1e-13 * (1.0 + max(mags))
     q = t - b[0]
     before = abs(q)
@@ -80,9 +82,10 @@ def descent_step(p, v, t, radius_cap=None):
         psi = (phi - theta) / s
 
         bs = mags[s]
+        tail = mags[s + 1:]
+        powers = range(1, len(tail) + 1)
         beta_ii = 1.0
-        while sum(mags[k] * beta_ii ** (k - s)
-                  for k in range(s + 1, len(b))) >= bs:
+        while sum(map(mul, tail, map(pow, repeat(beta_ii), powers))) >= bs:
             beta_ii *= 0.5
         beta_iii = (before / bs) ** (1.0 / s)
         beta = 0.9 * min(beta_ii, beta_iii)
@@ -92,8 +95,8 @@ def descent_step(p, v, t, radius_cap=None):
         step = beta * cmath.exp(1j * psi)
         after = abs(t - eval_poly(p, v + step))
         if after < before:
-            return DescentStepReport(s=s, beta=beta, psi=psi, before=before,
-                                     after=after, step=step)
+            return DescentStepReport(s, beta, psi, before, after, step,
+                                     b[0], b[1])
     raise ConvergenceFailure(
         f"no numerically decreasing step at v = {v} (residual {before:.3e})")
 
@@ -132,8 +135,7 @@ def solve_root(p, v0, t=0j, tol=1e-9, max_iter=10_000):
             if r < best_res:
                 best_v, best_res = cand, r
         if rep.s == 1:
-            fv, dfv = eval_with_derivative(p, v)
-            cand = v + (t - fv) / dfv
+            cand = v + (t - rep.value) / rep.slope
             r = abs(eval_poly(p, cand) - t)
             if r < best_res:
                 best_v, best_res = cand, r

@@ -104,7 +104,8 @@ class HarmonicEval:
 
 def eval_poly(p, z):
     """Horner evaluation of p at a complex point."""
-    z = complex(z)
+    if type(z) is not complex:
+        z = complex(z)
     coeffs = reversed(p.coeffs)
     acc = next(coeffs)
     for a in coeffs:
@@ -135,11 +136,16 @@ def rounding_floor(p, x):
 
 
 def eval_with_derivative(p, z):
-    """One Horner pass returning (p(z), p'(z))."""
+    """One Horner pass returning (p(z), p'(z)).  p'(z) starts from a_n,
+    not 0 * z + a_n, so for z != 0 both equal taylor_shift(p, z).coeffs[:2]
+    bit for bit, signed zeros included."""
     z = complex(z)
-    b = p.coeffs[-1]
-    c = 0j
-    for a in reversed(p.coeffs[:-1]):
+    coeffs = p.coeffs
+    c = coeffs[-1]
+    if len(coeffs) == 1:
+        return c, 0j
+    b = c * z + coeffs[-2]
+    for a in reversed(coeffs[:-2]):
         c = c * z + b
         b = b * z + a
     return b, c

@@ -11,15 +11,18 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_poly
-from openroots import Poly, all_roots, descent_step, taylor_shift
+from openroots import Poly, all_roots, descent_step, eval_poly, taylor_shift
 from openroots.errors import (
     AtTarget,
     ConvergenceFailure,
     DegenerateConstant,
     RootFindError,
 )
+from openroots.polycore import eval_with_derivative
 
 
 def ref_synthetic_div(coeffs, v):
@@ -178,6 +181,64 @@ class TestStep:
         assert rep.beta == 0.9 == ref_descent_step(p.coeffs, 0, 10)[1]
 
 
+def _signed_part(scale):
+    # a float of magnitude below scale, or a zero of either sign
+    return st.one_of(st.floats(-1, 1).map(lambda x: x * scale),
+                     st.sampled_from([0.0, -0.0]))
+
+
+@st.composite
+def _shift_cases(draw):
+    # (p, v): degree 1-32, coefficients and v at scales 1e-8..1e8, v != 0
+    coeff_scale = 10.0 ** draw(st.integers(-8, 8))
+    point_scale = 10.0 ** draw(st.integers(-8, 8))
+    n = draw(st.integers(1, 32))
+    parts = draw(st.lists(_signed_part(coeff_scale), min_size=2 * n + 2,
+                          max_size=2 * n + 2))
+    coeffs = [complex(x, y) for x, y in zip(parts[::2], parts[1::2])]
+    if coeffs[-1] == 0:
+        coeffs[-1] = complex(coeff_scale, -0.0)
+    x = draw(st.floats(-1, 1).filter(lambda x: x * point_scale != 0))
+    y = draw(st.one_of(st.sampled_from([0.0, -0.0]),
+                       _signed_part(point_scale)))
+    return Poly(coeffs), complex(x * point_scale, y)
+
+
+def _bits(z):
+    return repr(z.real), repr(z.imag)
+
+
+class TestNewtonFromShift:
+    """solve_root's Newton point takes f(v) and f'(v) from the step's
+    Taylor shift; they must be the Horner values bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_shift_cases())
+    def test_shift_head_is_horner(self, case):
+        p, v = case
+        fv = eval_poly(p, v)
+        dfv = eval_with_derivative(p, v)[1]
+        b = taylor_shift(p, v).coeffs
+        assert (_bits(b[0]), _bits(b[1])) == (_bits(fv), _bits(dfv))
+        t = fv + 2.0 * max(map(abs, b)) + 1.0
+        try:
+            rep = descent_step(p, v, t)
+        except RootFindError:
+            return
+        assert (_bits(rep.value), _bits(rep.slope)) == (_bits(fv), _bits(dfv))
+
+    def test_negative_zero_lead(self):
+        # 0 * v + a_1 would turn the lead's -0 imaginary part into +0
+        p = Poly([0j, complex(1, -0.0)])
+        rep = descent_step(p, 1, 5)
+        assert _bits(rep.slope) == _bits(eval_with_derivative(p, 1)[1]) \
+            == ("1.0", "-0.0")
+
+
+def _from_roots(roots):
+    return Poly(np.poly(np.asarray(roots, dtype=complex))[::-1])
+
+
 def _differential_polys():
     rng = np.random.default_rng(43)
     polys = {f"deg{n}-{kind}": random_poly(rng, n, monic=kind == "monic")
@@ -185,6 +246,19 @@ def _differential_polys():
     polys["wilkinson8"] = Poly(np.poly(np.arange(1, 9))[::-1])
     polys["scale1e8-deg7"] = Poly([1e8 * c
                                    for c in random_poly(rng, 7).coeffs])
+    for n in range(25, 33):
+        polys[f"deg{n}"] = random_poly(rng, n, monic=bool(n % 2))
+    polys["unity8"] = Poly([-1] + [0] * 7 + [1])
+    centre = complex(*(0.5 * rng.normal(size=2)))
+    polys["cluster"] = _from_roots(
+        [centre + 1e-3 * 1j ** k for k in range(4)]
+        + list(rng.normal(size=2) + 1j * rng.normal(size=2)))
+    a, b, c = rng.normal(size=3) + 1j * rng.normal(size=3)
+    polys["double"] = _from_roots([a, a, b, b, c])
+    a, b, c = rng.normal(size=3) + 1j * rng.normal(size=3)
+    polys["triple"] = _from_roots([a, a, a, b, c])
+    polys["scale1e-8-deg6"] = Poly([1e-8 * c for c in
+                                    random_poly(rng, 6, monic=False).coeffs])
     return polys
 
 

@@ -9,17 +9,21 @@ the case names (``all_roots`` or ``run_pipeline`` at tol 1e-9, as the
 benchmark calls them; cli-cold cases are solved in process too), and
 classifies each answer with the benchmark's oracle (bench/oracle.py).  It
 writes one record per case: seed, index, family, degree, method, the
-oracle's kind and reason, the failing stage, the roots, the solve time and,
-for a gauss solve, the pipeline's stage times.
+oracle's kind and reason, the failing stage, the error text of a failed
+solve, the roots, the solve time and, for a gauss solve, the pipeline's
+stage times.
 
-The second form prints the failed count of each seed on both sides and
-every case whose kind changed.  The package is imported from the ``src/``
-next to this script; copy the script into another checkout to record that
-checkout.
+The second form prints the failed count of each seed on both sides, every
+case whose kind changed, the count of cases ok on both sides whose roots
+differ, every case failed on both sides whose error text differs, and the
+median solve time per method and degree on both sides.  The package is
+imported from the ``src/`` next to this script; copy the script into
+another checkout to record that checkout.
 """
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -73,6 +77,7 @@ def record(workload, seeds, seconds):
                 "degree": case.degree, "method": case.method,
                 "kind": verdict.kind, "reason": verdict.reason,
                 "stage": outcome.stage,
+                "error": outcome.error or outcome.crash,
                 "roots": [[z.real, z.imag] for z in outcome.roots or ()],
                 "solve_s": solve_s, "stages": stages,
             })
@@ -81,6 +86,11 @@ def record(workload, seeds, seconds):
 
 def _failed(row):
     return row["kind"] != oracle.OK
+
+
+def _error(row):
+    # records made before rows held the error text carry it in the reason
+    return row.get("error", row["reason"])
 
 
 def _status(row):
@@ -115,6 +125,26 @@ def diff(old, new):
     moved = sum(not _failed(before[k]) and not _failed(after[k])
                 and before[k]["roots"] != after[k]["roots"] for k in before)
     lines.append(f"{moved} cases ok on both sides return different roots")
+    reworded = [k for k in sorted(before) if _failed(before[k])
+                and _failed(after[k]) and _error(before[k]) != _error(after[k])]
+    lines.append(f"{len(reworded)} cases failed on both sides with a "
+                 "different error text")
+    for k in reworded:
+        a, b = before[k], after[k]
+        lines.append(f"  seed {k[0]} case {k[1]} ({a['method']}, "
+                     f"{a['family']}, degree {a['degree']}): "
+                     f"{str(_error(a))[:160]} -> {str(_error(b))[:160]}")
+    times = {}
+    for k in before:
+        group = times.setdefault((k[2], before[k]["degree"]), ([], []))
+        group[0].append(before[k]["solve_s"])
+        group[1].append(after[k]["solve_s"])
+    lines.append("median solve_s by method and degree")
+    lines.append("method   degree  cases    before     after  ratio")
+    for (method, degree), (a, b) in sorted(times.items()):
+        ma, mb = statistics.median(a), statistics.median(b)
+        lines.append(f"{method:7s}  {degree:6d}  {len(a):5d}  {ma:8.5f}  "
+                     f"{mb:8.5f}  {mb / ma:5.3f}")
     return lines
 
 
