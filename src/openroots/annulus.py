@@ -1,11 +1,13 @@
-"""Boundary structure on the large circle |z| = R.
+"""Boundary structure on the large circle |z| = R, proven by Rouché.
 
-For R large enough, the zero sets of g = Re f and h = Im f cross the
-circle at 2n + 2n nodes, each within 1 degree of the asymptotic angles
-(2i+1) pi / 2n (P-nodes, where the leading term's cosine vanishes) and
-i pi / n (Q-nodes, sine).  R is accepted when the signs of g and h at
-the 4n midpoint angles between asymptotes, on both circles R and R + 1,
-agree with the leading term alone.
+For q = f monic of degree n, let d = sum_{k<n} |a_k| R^(k-n) and
+d1 = sum_{k<n} (n-k) |a_k| R^(k-n).  On |z| = R, |q/z^n - 1| <= d and
+|z q'/q - n| <= d1 / (1 - d).  If d < sin(min(n, 45) degrees) and
+d1 < n (1 - d), arg q stays within arcsin d of n theta and turns strictly
+monotonically, on this circle and every larger one (both sums fall as R
+grows).  So g = Re q and h = Im q cross it at 2n + 2n nodes (P-nodes and
+Q-nodes), one in each bracket +- pi / 4n about the asymptotic angles
+(2i+1) pi / 2n and i pi / n, within arcsin(d) / n < 1 degree of it.
 """
 
 import math
@@ -14,9 +16,7 @@ from dataclasses import dataclass
 
 from .bounds import reich_radius
 from .errors import BracketFailure, ConvergenceFailure, InterleavingViolation
-from .polycore import LazyNumpy, eval_jets, eval_poly
-
-np = LazyNumpy(globals())
+from .polycore import eval_poly
 
 P_KIND = "P"
 Q_KIND = "Q"
@@ -60,31 +60,36 @@ class NodeSet:
         return complex(self.R * math.cos(node.angle), self.R * math.sin(node.angle))
 
 
-def _leading_sign_ok(q, R):
-    # Signs of g and h at the 4n midpoints, circles R and R+1, must match
-    # the leading term R^n cos(n theta) / R^n sin(n theta).
+def _rouche_certified(q, R):
+    # The module docstring's certificate, by Horner in s = 1/R so that no
+    # power of R overflows.  Each sum is within gamma_(3n+2) of its value;
+    # the factor 1 + 8(n+2)u covers that and the roundings of the tests.
     n = q.degree
-    mid = (np.arange(4 * n) * math.pi / (2 * n)) + math.pi / (4 * n)
-    for rho in (R, R + 1.0):
-        vals = eval_jets(q, rho * np.exp(1j * mid), 0)[0]
-        lead = rho**n * np.exp(1j * n * mid)
-        if np.any(np.sign(vals.real) != np.sign(lead.real)):
-            return False
-        if np.any(np.sign(vals.imag) != np.sign(lead.imag)):
-            return False
-    return True
+    s = 1.0 / R
+    d = d1 = 0.0
+    for k, a in enumerate(q.coeffs[:-1]):
+        d = (d + abs(a)) * s
+        d1 = (d1 + (n - k) * abs(a)) * s
+    grow = 1.0 + 8 * (n + 2) * 2.0 ** -53
+    d, d1 = d * grow, d1 * grow
+    return d < math.sin(math.radians(min(n, 45))) and d1 < n * (1.0 - d)
 
 
 def annulus_radius(p):
-    """Smallest power-of-2 multiple of the properness radius whose
-    midpoint signs on circles R and R+1 match the leading term."""
+    """Smallest power-of-2 multiple of the properness radius on which the
+    Rouché certificate holds.  d <= 1/2 there and at least halves with
+    each doubling, so five always suffice; raises if R^n overflows first.
+    """
     if p.degree < 1:
         raise ConvergenceFailure("annulus radius needs degree >= 1")
     q = p.monic()
-    R = reich_radius(q)
-    while not _leading_sign_ok(q, R):
+    n, R = q.degree, reich_radius(q)
+    while n * math.log2(R) < 1023.0:
+        if _rouche_certified(q, R):
+            return R
         R *= 2.0
-    return R
+    raise ConvergenceFailure(
+        f"R^n overflows double at R = {R:.6g}, degree {n}")
 
 
 def _bisect(f, lo, hi, flo):
@@ -111,8 +116,9 @@ def boundary_nodes(p, R):
     """Locate the 2n P-nodes and 2n Q-nodes on |z| = R by bisection.
 
     Each node is bracketed between the midpoint angles on either side
-    of its asymptote; the radius acceptance test guarantees a sign
-    change there.  Angles are resolved to 1e-12.
+    of its asymptote; at a radius from annulus_radius, Rouché's argument
+    proves exactly one node in each bracket.  Angles are resolved to
+    1e-12.
     """
     q = p.monic()
     n = q.degree
@@ -175,19 +181,10 @@ def interleaving_check(ns):
     return rotated
 
 
-def locate_boundary_nodes(p, max_doublings=60):
-    """Accepted radius plus nodes with every deviation <= 1 degree.
-
-    The sign test alone only confines nodes to their brackets; R is
-    doubled until the 1-degree deviation bound from the asymptotic
-    angles holds as well (deviations shrink like 1/R).
-    """
-    bound = math.pi / 180.0
-    R = annulus_radius(p)
-    for _ in range(max_doublings):
-        ns = boundary_nodes(p, R)
-        if max(abs(nd.deviation) for nd in ns.nodes) <= bound:
-            interleaving_check(ns)
-            return ns
-        R *= 2.0
-    raise ConvergenceFailure("deviation bound not reached while doubling R")
+def locate_boundary_nodes(p):
+    """The nodes on the circle of annulus_radius, which proves by Rouché
+    that each lies alone in its bracket within 1 degree of its
+    asymptote, so one bisection pass finds them all."""
+    ns = boundary_nodes(p, annulus_radius(p))
+    interleaving_check(ns)
+    return ns

@@ -2,7 +2,6 @@
 optionally render the boundary-node/arc diagram as SVG."""
 
 import argparse
-import cmath
 import json
 import math
 import sys
@@ -30,8 +29,6 @@ def parse_poly(text):
             vals.append(complex(float(tok)))
     if not vals:
         raise ValueError("no coefficients given")
-    if not all(map(cmath.isfinite, vals)):
-        raise ValueError("coefficients must be finite")
     return Poly(vals[::-1])
 
 

@@ -11,6 +11,7 @@ numpy is imported on first use (``LazyNumpy``): the scalar paths
 never load it.
 """
 
+import cmath
 from dataclasses import dataclass
 
 from .errors import DegreeZero
@@ -46,6 +47,7 @@ class Poly:
     coefficients are trimmed on construction, so ``degree`` is always
     the index of the last stored coefficient and the leading
     coefficient is nonzero unless the polynomial is the constant 0.
+    nan and inf coefficients are rejected.
     """
 
     __slots__ = ("coeffs",)
@@ -54,6 +56,8 @@ class Poly:
         cs = [complex(c) for c in coeffs]
         if not cs:
             raise ValueError("need at least one coefficient")
+        if not all(map(cmath.isfinite, cs)):
+            raise ValueError("coefficients must be finite")
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -152,12 +156,17 @@ def eval_with_derivative(p, z):
 
 
 def eval_jet(p, z):
-    """One Horner pass returning (p(z), p'(z), p''(z))."""
+    """One Horner pass returning (p(z), p'(z), p''(z)).  p' and p'' start
+    from a_n, as in eval_with_derivative, so the first two agree with it
+    bit for bit, signed zeros included."""
     z = complex(z)
-    b = p.coeffs[-1]
-    c = 0j
-    d = 0j
-    for a in reversed(p.coeffs[:-1]):
+    *rest, b = p.coeffs
+    c = d = 0j
+    if rest:
+        b, c = b * z + rest.pop(), b
+    if rest:
+        b, c, d = b * z + rest.pop(), c * z + b, c
+    for a in reversed(rest):
         d = d * z + c
         c = c * z + b
         b = b * z + a
@@ -198,13 +207,6 @@ class JetKernel:
         np.multiply.accumulate(pw, axis=0, out=pw)
         matrix, out = self._rows[rows]
         return np.matmul(matrix, pw, out=out)
-
-
-def eval_jets(p, zs, order=2):
-    """eval_jet at every point of the 1-D array zs: rows p, p', p'' up
-    to the given derivative order, shape (order + 1, len(zs))."""
-    zs = np.asarray(zs, dtype=complex)
-    return JetKernel(p, len(zs))(zs, order + 1)
 
 
 def derivative(p):

@@ -118,7 +118,6 @@ class TraceControl:
     first_step: float
     pos_tol: float
     on_curve_tol: float
-    node_tol: float
     merge_tol: float
     other_floor: float
     boundary_margin: float
@@ -134,7 +133,6 @@ class TraceControl:
             first_step=R / 512.0,
             pos_tol=1e-9 * R,
             on_curve_tol=1e-8 * scale,
-            node_tol=1e-6 * R,
             merge_tol=1e-6 * R,
             other_floor=1e-4 * scale,
             boundary_margin=1e-3 * R,

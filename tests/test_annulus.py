@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_poly
 from openroots import (
@@ -13,11 +15,12 @@ from openroots import (
     locate_boundary_nodes,
     reich_radius,
 )
-from openroots.annulus import _bisect
+from openroots.annulus import _bisect, _rouche_certified
 from openroots.errors import (
     BracketFailure,
     ConvergenceFailure,
     InterleavingViolation,
+    RootFindError,
 )
 
 ONE_DEGREE = math.pi / 180.0
@@ -59,6 +62,68 @@ class TestAnnulusRadius:
         assert R >= reich_radius(p)
         # accepted radius keeps lower terms below the leading midpoint margin
         assert 10.0 * R**2 < R**3 * math.sin(math.pi / 4.0)
+
+
+def sign_scan_zeros(q, rho, samples):
+    """Independent count of the zeros of Re q and Im q on |z| = rho: sign
+    changes of q(z) / rho^n over dense equispaced samples, in numpy."""
+    n = q.degree
+    scaled = [a * rho ** (k - n) for k, a in enumerate(q.coeffs)]
+    theta = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+    vals = np.polyval(np.array(scaled[::-1]), np.exp(1j * theta))
+    flips = [np.signbit(part) != np.signbit(np.roll(part, 1))
+             for part in (vals.real, vals.imag)]
+    return [int(np.count_nonzero(f)) for f in flips]
+
+
+@st.composite
+def _certificate_cases(draw):
+    # degree 1-64, lower coefficients at scale 1e-3..1e3, lead near unit size
+    n = draw(st.integers(1, 64))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    part = st.floats(-1, 1)
+    low = [complex(draw(part), draw(part)) * scale for _ in range(n)]
+    lead = draw(st.complex_numbers(min_magnitude=0.1, max_magnitude=10))
+    return Poly(low + [lead])
+
+
+class TestRoucheCertificate:
+    @settings(max_examples=40, deadline=None)
+    @given(_certificate_cases())
+    def test_nodes_alone_and_within_one_degree(self, p):
+        n, q = p.degree, p.monic()
+        reich = reich_radius(q)
+        try:
+            R = annulus_radius(p)
+        except ConvergenceFailure as exc:
+            # five doublings always certify, so only R^n overflow stops it
+            assert "overflows" in str(exc)
+            assert n * (math.log2(reich) + 5) >= 1023
+            return
+        assert R / reich in (1, 2, 4, 8, 16, 32)
+        for rho in (R, 2 * R):
+            if n * math.log2(rho) >= 1023:
+                continue
+            ns = boundary_nodes(p, rho)
+            assert max(abs(nd.deviation) for nd in ns.nodes) <= ONE_DEGREE
+            assert interleaving_check(ns) == list(range(4 * n))
+            assert sign_scan_zeros(q, rho, 256 * n) == [2 * n, 2 * n]
+
+    def test_cap_at_45_degrees(self):
+        # d = 0.8 < sin 60 degrees at R = 1, but a node there is outside
+        # its bracket of +- 0.75 degrees: the cap must be 45, not 89
+        p = Poly([0] * 59 + [0.8, 1])
+        assert not _rouche_certified(p, 1.0)
+        with pytest.raises(BracketFailure, match="P-node 35"):
+            boundary_nodes(p, 1.0)
+        ns = locate_boundary_nodes(p)
+        assert ns.R == reich_radius(p) == 1.6
+        assert max(abs(nd.deviation) for nd in ns.nodes) <= ONE_DEGREE
+
+    def test_radius_overflow_is_named(self):
+        p = random_poly(np.random.default_rng(5), 128)
+        with pytest.raises(RootFindError, match="R\\^n overflows double"):
+            locate_boundary_nodes(p)
 
 
 class TestBoundaryNodes:

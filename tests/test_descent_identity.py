@@ -11,7 +11,7 @@ import cmath
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_poly
@@ -22,7 +22,7 @@ from openroots.errors import (
     DegenerateConstant,
     RootFindError,
 )
-from openroots.polycore import eval_with_derivative
+from openroots.polycore import eval_jet, eval_with_derivative
 
 
 def ref_synthetic_div(coeffs, v):
@@ -214,12 +214,15 @@ class TestNewtonFromShift:
 
     @settings(max_examples=100, deadline=None)
     @given(_shift_cases())
+    @example((Poly([1j, complex(2, -0.0)]), 0.5 + 0.25j))
     def test_shift_head_is_horner(self, case):
         p, v = case
         fv = eval_poly(p, v)
         dfv = eval_with_derivative(p, v)[1]
         b = taylor_shift(p, v).coeffs
         assert (_bits(b[0]), _bits(b[1])) == (_bits(fv), _bits(dfv))
+        jet = eval_jet(p, v)
+        assert (_bits(jet[0]), _bits(jet[1])) == (_bits(fv), _bits(dfv))
         t = fv + 2.0 * max(map(abs, b)) + 1.0
         try:
             rep = descent_step(p, v, t)
@@ -232,7 +235,7 @@ class TestNewtonFromShift:
         p = Poly([0j, complex(1, -0.0)])
         rep = descent_step(p, 1, 5)
         assert _bits(rep.slope) == _bits(eval_with_derivative(p, 1)[1]) \
-            == ("1.0", "-0.0")
+            == _bits(eval_jet(p, 1)[1]) == ("1.0", "-0.0")
 
 
 def _from_roots(roots):

@@ -23,7 +23,6 @@ from openroots.polycore import (
     JetKernel,
     LazyNumpy,
     eval_jet,
-    eval_jets,
     eval_with_derivative,
     rounding_floor,
 )
@@ -45,6 +44,13 @@ class TestPoly:
     def test_monic(self):
         p = Poly([2, 0, 4])
         assert p.monic().coeffs == (0.5 + 0j, 0j, 1 + 0j)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1, -math.inf),
+                                     complex(math.nan, 0)])
+    def test_non_finite_rejected(self, bad):
+        # a nan coefficient used to send run_pipeline into an endless loop
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            Poly([bad, 1, 1])
 
 
 class TestEval:
@@ -97,7 +103,7 @@ class TestJetKernel:
             p = random_poly(rng, n, monic=bool(n % 2))
             for radius in (0.5, 1.0, annulus_radius(p)):
                 zs = radius * np.exp(1j * rng.uniform(0, 2 * np.pi, 40))
-                jets = eval_jets(p, zs)
+                jets = JetKernel(p, len(zs))(zs)
                 floors = self.floors(p, radius)
                 for col, z in enumerate(zs):
                     for row, want in enumerate(eval_jet(p, z)):
@@ -109,13 +115,13 @@ class TestJetKernel:
         zs = np.array([random_point(rng) for _ in range(5)])
         scale = np.array([1, -1j, 2, 0.5j, -1])
         scaled = JetKernel(p, 5, scale)(zs)
-        full = eval_jets(p, zs)
-        assert eval_jets(p, zs, 0).shape == (1, 5)
-        assert np.allclose(eval_jets(p, zs, 0), full[:1], rtol=1e-14)
+        full = JetKernel(p, 5)(zs)
+        assert JetKernel(p, 5)(zs, 1).shape == (1, 5)
+        assert np.allclose(JetKernel(p, 5)(zs, 1), full[:1], rtol=1e-14)
         assert np.allclose(scaled, scale * full, rtol=1e-14)
 
     def test_linear(self):
-        jets = eval_jets(Poly([2, 3]), np.array([0, 1j]))
+        jets = JetKernel(Poly([2, 3]), 2)(np.array([0, 1j]))
         assert np.array_equal(jets, [[2, 2 + 3j], [3, 3], [0, 0]])
 
 

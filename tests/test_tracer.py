@@ -163,7 +163,7 @@ class TestTraceCurve:
                            (arc.end_node, arc.samples[-1])):
             pos = ns.position(nd)
             assert math.hypot(sample[0] - pos.real,
-                              sample[1] - pos.imag) <= ctrl.node_tol
+                              sample[1] - pos.imag) <= 1e-6 * ns.R
 
 
 def matching_suite(seed=62):

@@ -11,11 +11,13 @@ classifies each answer with the benchmark's oracle (bench/oracle.py).  It
 writes one record per case: seed, index, family, degree, method, the
 oracle's kind and reason, the failing stage, the error text of a failed
 solve, the roots, the solve time and, for a gauss solve, the pipeline's
-stage times.
+stage times and the annulus radius R (None when the solve failed before
+the annulus stage).
 
 The second form prints the failed count of each seed on both sides, every
-case whose kind changed, the count of cases ok on both sides whose roots
-differ, every case failed on both sides whose error text differs, and the
+case whose kind changed, the count of cases whose R changed, the count of
+cases ok on both sides whose roots differ and how many of those kept
+their R, every case failed on both sides whose error text differs, and the
 median solve time per method and degree on both sides.  The package is
 imported from the ``src/`` next to this script; copy the script into
 another checkout to record that checkout.
@@ -64,10 +66,29 @@ def _solve(openroots, case):
 
 def record(workload, seeds, seconds):
     import openroots
+    import openroots.annulus as annulus
 
+    # run_pipeline calls annulus.locate_boundary_nodes through the module,
+    # so a wrapper there sees the R of every solve that reaches the stage
+    locate, radii = annulus.locate_boundary_nodes, []
+
+    def locate_and_note(p):
+        ns = locate(p)
+        radii.append(ns.R)
+        return ns
+
+    annulus.locate_boundary_nodes = locate_and_note
+    try:
+        return _record(openroots, workload, seeds, seconds, radii)
+    finally:
+        annulus.locate_boundary_nodes = locate
+
+
+def _record(openroots, workload, seeds, seconds, radii):
     rows = []
     for seed in seeds:
         for index, case in enumerate(corpus.build(workload, seed, seconds)):
+            radii.clear()
             start = time.perf_counter()
             outcome, stages = _solve(openroots, case)
             solve_s = time.perf_counter() - start
@@ -80,6 +101,7 @@ def record(workload, seeds, seconds):
                 "error": outcome.error or outcome.crash,
                 "roots": [[z.real, z.imag] for z in outcome.roots or ()],
                 "solve_s": solve_s, "stages": stages,
+                "R": radii[-1] if radii else None,
             })
     return rows
 
@@ -122,9 +144,14 @@ def diff(old, new):
         lines.append(f"  seed {k[0]} case {k[1]} ({a['method']}, "
                      f"{a['family']}, degree {a['degree']}): {_status(a)} -> "
                      f"{_status(b)}: {why[:160]}")
-    moved = sum(not _failed(before[k]) and not _failed(after[k])
-                and before[k]["roots"] != after[k]["roots"] for k in before)
-    lines.append(f"{moved} cases ok on both sides return different roots")
+    # records made before rows held R carry none
+    new_r = {k for k in before if before[k].get("R") != after[k].get("R")}
+    lines.append(f"{len(new_r)} cases changed R")
+    moved = [k for k in before if not _failed(before[k])
+             and not _failed(after[k])
+             and before[k]["roots"] != after[k]["roots"]]
+    lines.append(f"{len(moved)} cases ok on both sides return different "
+                 f"roots, {len(set(moved) - new_r)} of them at the same R")
     reworded = [k for k in sorted(before) if _failed(before[k])
                 and _failed(after[k]) and _error(before[k]) != _error(after[k])]
     lines.append(f"{len(reworded)} cases failed on both sides with a "
