@@ -8,6 +8,7 @@ exactly: same coefficients, same roots, same error messages.
 """
 
 import cmath
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_poly
-from openroots import Poly, all_roots, descent_step, eval_poly, taylor_shift
+from openroots import (
+    Poly,
+    all_roots,
+    descent,
+    descent_step,
+    eval_poly,
+    solve_root,
+    taylor_shift,
+)
 from openroots.errors import (
     AtTarget,
     ConvergenceFailure,
@@ -279,3 +288,169 @@ class TestAllRootsDifferential:
         failed = {isinstance(outcome(all_roots, p, 1e-9)[0], type)
                   for p in DIFFERENTIAL.values()}
         assert failed == {True, False}
+
+
+def _target(draw, p, v):
+    # f(v) plus an offset of 1e-13..1e8 times the largest |b_k|: from just
+    # above descent_step's noise floor to far from f(v)
+    fv = eval_poly(p, v)
+    size = max(map(abs, taylor_shift(p, v).coeffs))
+    offset = size * 10.0 ** draw(st.floats(-13, 8))
+    return fv + offset * cmath.exp(1j * draw(st.floats(0, 2 * cmath.pi)))
+
+
+def _flush(z):
+    # parts below 1e-200 become 0: the bound holds barring underflow
+    return complex(*(x if abs(x) >= 1e-200 else 0.0 for x in (z.real, z.imag)))
+
+
+def _bound_cases():
+    # _shift_cases with nothing tiny enough for the step's products to
+    # underflow
+    return _shift_cases().map(
+        lambda case: (Poly(map(_flush, case[0].coeffs)), _flush(case[1])))
+
+
+def _gamma(m):
+    mu = Fraction(m, 2 ** 53)
+    return mu / (1 - mu)
+
+
+def _sq(z):
+    return Fraction(z.real) ** 2 + Fraction(z.imag) ** 2
+
+
+class TestHalvingBound:
+    """descent._halvings' L_k is a lower bound on every halving's computed
+    residual, so solve_root may skip a halving whose L_k is above a
+    residual it already has."""
+
+    @staticmethod
+    def _terms(p, v, rep):
+        # H_k, A and x as _halvings computes them, for the exact checks
+        w = abs(v)
+        lift = w * descent._U
+        betas = [0.5 * rep.beta * 0.5 ** k for k in range(8)]
+        hs = [(beta + lift) * descent._UP for beta in betas]
+        a = 0.0
+        for m in rep._mags[:1:-1]:
+            a = a * hs[0] + m
+        return betas, hs, a, (w + hs[0]) * descent._UP
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_lower_bound_holds(self, data):
+        p, v = data.draw(_bound_cases())
+        t = _target(data.draw, p, v)
+        try:
+            rep = descent_step(p, v, t)
+        except (RootFindError, OverflowError):
+            # OverflowError: cmath.phase raises where the phase of b_s
+            # underflows, e.g. b_s = 1e150 + 1e-200j
+            return
+        n = p.degree
+        phase = cmath.exp(1j * rep.psi)
+        betas, hs, a, x = self._terms(p, v, rep)
+        g = (4 * n + 8) * 2.0 ** -53
+        floor2 = 2.0 * descent.rounding_floor(p, x)
+        for k, (beta, low) in enumerate(descent._halvings(p, v, rep)):
+            h = hs[k]
+            assert beta == betas[k]
+            # the terms above are the ones _halvings used
+            assert repr(low) == repr(rep.before * (1 - g) - (
+                rep._mags[1] * h + a * h * h + floor2) * (1 + g))
+            z = v + beta * phase
+            assert abs(eval_poly(p, z) - t) >= low
+            # |z_k - v| <= H_k <= H_1 and |v| + H_1 <= x, exactly
+            assert _sq(z - v) <= Fraction(h) ** 2
+            assert h <= hs[0]
+        room = Fraction(x) - Fraction(hs[0])
+        assert room >= 0 and room ** 2 >= _sq(v)
+        # |b^_j| <= fl|b^_j| (1 + gamma_2) above underflow, and T(H_1) =
+        # sum_(j>=2) fl|b^_j| H_1^j <= H_1^2 A (1 + gamma_(2n-2)), exactly
+        b = taylor_shift(p, v).coeffs
+        for bj, m in zip(b, rep._mags):
+            if m >= 2.0 ** -1022:
+                assert _sq(bj) <= (Fraction(m) * (1 + _gamma(2))) ** 2
+        h1 = Fraction(hs[0])
+        tail = sum(Fraction(m) * h1 ** j
+                   for j, m in enumerate(rep._mags) if j >= 2)
+        assert tail <= h1 ** 2 * Fraction(a) * (1 + _gamma(2 * n - 2))
+
+    def test_far_target(self):
+        # |t| >> M(|v| + H_1): the roundings of before and of the residual,
+        # not F, set the margin, and only the (1 -+ g) slack covers them
+        p = Poly([-0.10922561189039715 + 0.44308006468156513j,
+                  0.524560164915884 - 0.9957878932977786j])
+        v, t = -0.5424755574590947, 94.5818
+        rep = descent_step(p, v, t)
+        phase = cmath.exp(1j * rep.psi)
+        for beta, low in descent._halvings(p, v, rep):
+            assert abs(eval_poly(p, v + beta * phase) - t) >= low
+
+
+def _bits_or_error(fn, *args):
+    try:
+        return _bits(fn(*args))
+    except (RootFindError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+class _EvalSpy:
+    """Records every point descent.eval_poly is called at."""
+
+    def __init__(self, monkeypatch):
+        self.points = []
+        real = descent.eval_poly
+
+        def spy(p, z):
+            self.points.append(z)
+            return real(p, z)
+        monkeypatch.setattr(descent, "eval_poly", spy)
+
+
+class TestPrunedSearch:
+    """solve_root skips halvings and still matches the full line search
+    of ref_solve_root bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_same_root_bits_or_same_error(self, data):
+        p, v0 = data.draw(_shift_cases())
+        t = _target(data.draw, p, v0)
+        assert _bits_or_error(solve_root, p, v0, t, 1e-9, 60) == \
+            _bits_or_error(ref_solve_root, p.coeffs, v0, t, 1e-9, 60)
+
+    def test_half_step_still_wins(self, monkeypatch):
+        # descent corpus seed 0: from v = 0, beta*/2 beats beta*, the other
+        # halvings and Newton, so its bound must let it be evaluated
+        p = Poly([1.2405278891114753 + 1.778981600891134j,
+                  0.970852810037209 - 0.2191356523478109j,
+                  -0.2964324916534929 - 0.8091123098770499j])
+        rep = descent_step(p, 0, 0)
+        phase = cmath.exp(1j * rep.psi)
+        res = {k: abs(eval_poly(p, rep.beta * 0.5 ** k * phase))
+               for k in range(9)}
+        res["newton"] = abs(eval_poly(p, -rep.value / rep.slope))
+        assert rep.s == 1 and min(res, key=res.get) == 1
+        spy = _EvalSpy(monkeypatch)
+        with pytest.raises(ConvergenceFailure) as exc:
+            solve_root(p, 0, 0, 1e-9, 1)
+        assert str(exc.value) == \
+            f"no root after 1 iterations; residual {res[1]:.3e}"
+        assert 0.5 * rep.beta * phase in spy.points
+        monkeypatch.undo()
+        assert _bits_or_error(solve_root, p, 0, 0) == \
+            _bits_or_error(ref_solve_root, p.coeffs, 0, 0)
+
+    def test_newton_tail_evaluates_no_halving(self, monkeypatch):
+        # near the root sqrt 2 of z^2 - 2, Newton's residual is far below
+        # every halving's bound: only the start, the step and Newton
+        p = Poly([-2, 0, 1])
+        v = 1.4142
+        rep = descent_step(p, v, 0)
+        newton = v + (0 - rep.value) / rep.slope
+        spy = _EvalSpy(monkeypatch)
+        with pytest.raises(ConvergenceFailure):
+            solve_root(p, v, 0, 0.0, 1)
+        assert spy.points == [v, v + rep.step, newton]

@@ -25,6 +25,7 @@ another checkout to record that checkout.
 
 import argparse
 import json
+import os
 import statistics
 import sys
 import time
@@ -38,7 +39,7 @@ import corpus  # noqa: E402
 import oracle  # noqa: E402
 
 
-def _seed_range(text):
+def seed_range(text):
     first, _, last = text.partition("-")
     first, last = int(first), int(last or first)
     if first < 0 or last < first:
@@ -46,7 +47,7 @@ def _seed_range(text):
     return range(first, last + 1)
 
 
-def _solve(openroots, case):
+def solve_case(openroots, case):
     # (outcome, pipeline stage times or None)
     from openroots.errors import RootFindError
 
@@ -90,7 +91,7 @@ def _record(openroots, workload, seeds, seconds, radii):
         for index, case in enumerate(corpus.build(workload, seed, seconds)):
             radii.clear()
             start = time.perf_counter()
-            outcome, stages = _solve(openroots, case)
+            outcome, stages = solve_case(openroots, case)
             solve_s = time.perf_counter() - start
             verdict = oracle.verify(case, outcome)
             rows.append({
@@ -180,7 +181,7 @@ def main():
     mode = ap.add_mutually_exclusive_group(required=True)
     mode.add_argument("--workload", choices=corpus.WORKLOADS)
     mode.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"))
-    ap.add_argument("--seeds", type=_seed_range, default=range(0, 1),
+    ap.add_argument("--seeds", type=seed_range, default=range(0, 1),
                     help="seed range A-B, both ends included (default 0)")
     ap.add_argument("--seconds", type=int, default=20,
                     help="corpus size, as bench/run.py --seconds")
@@ -199,5 +200,18 @@ def main():
     return 0
 
 
+def exit_quietly_on_closed_stdout(main):
+    """sys.exit(main()), except that a reader closing stdout early, as
+    ``| head`` does, ends the run with status 1 and no traceback."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout once more at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    exit_quietly_on_closed_stdout(main)
