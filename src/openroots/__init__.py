@@ -44,12 +44,10 @@ from .matcher import (
     run_pipeline,
 )
 from .polycore import (
-    HarmonicEval,
     Poly,
     critical_points,
     derivative,
     eval_poly,
-    harmonic_eval,
     synthetic_div,
     taylor_shift,
 )
@@ -69,7 +67,6 @@ from .tracer import (
     Arc,
     Matching,
     PerturbedProblem,
-    TraceControl,
     compute_matchings,
     perturb_regular,
     trace_curve,
@@ -83,14 +80,12 @@ __all__ = [
     "BoundaryNode",
     "BoxND",
     "DescentStepReport",
-    "HarmonicEval",
     "Matching",
     "NodeSet",
     "PerturbedProblem",
     "Poly",
     "RadiiRecipe",
     "SeparatedPair",
-    "TraceControl",
     "TruncatedSeries",
     "all_roots",
     "annulus_radius",
@@ -106,7 +101,6 @@ __all__ = [
     "eval_poly",
     "find_separated_pair",
     "gauss_root",
-    "harmonic_eval",
     "implicit_series_solve",
     "integrate",
     "interleaving_check",

@@ -15,6 +15,7 @@ search, bit for bit.
 """
 
 import cmath
+import math
 from collections import namedtuple
 from itertools import repeat
 from operator import mul
@@ -84,9 +85,11 @@ def descent_step(p, v, t, radius_cap=None):
         if cap <= 0:
             raise ValueError("v lies outside the radius cap")
 
-    phi = cmath.phase(q)
+    # math.atan2, not cmath.phase: cmath.phase raises OverflowError when
+    # the angle underflows (cmath.phase(1e150 + 1e-200j))
+    phi = math.atan2(q.imag, q.real)
     for s in candidates:
-        theta = cmath.phase(b[s])
+        theta = math.atan2(b[s].imag, b[s].real)
         psi = (phi - theta) / s
 
         bs = mags[s]

@@ -30,7 +30,6 @@ from .polycore import (LazyNumpy, eval_poly, eval_with_derivative,
 from .tracer import (
     FIELD_G,
     FIELD_H,
-    TraceControl,
     compute_matchings,
     index_runs,
     perturb_regular,
@@ -378,8 +377,7 @@ def run_pipeline(p, tol=1e-9):
     with _stage("annulus", timings):
         ns = annulus_mod.locate_boundary_nodes(prob.shifted())
     with _stage("trace", timings):
-        ctrl = TraceControl.for_disc(ns.R, prob.base.degree)
-        match_p, match_q, arcs = compute_matchings(prob, ns, ctrl)
+        match_p, match_q, arcs = compute_matchings(prob, ns)
     with _stage("match", timings):
         sep = find_separated_pair(match_p, match_q, prob.base.degree)
         sigma = (sep.sigma_index, match_p.pairs[sep.sigma_index])

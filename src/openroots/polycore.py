@@ -1,10 +1,9 @@
-"""Complex polynomial arithmetic and harmonic decomposition.
+"""Complex polynomial arithmetic.
 
 Dense ascending-power representation shared by every other module:
-Horner evaluation, differentiation, Taylor recentering by repeated
-synthetic division, and the split f(x + iy) = g(x, y) + i h(x, y)
-with first partials derived from f'(z) so the Cauchy-Riemann
-relations hold exactly by construction.
+Horner evaluation with first and second derivatives, its rounding
+floor, differentiation, and Taylor recentering by repeated synthetic
+division.
 
 numpy is imported on first use (``LazyNumpy``): the scalar paths
 (Horner, recentering, descent) run on plain Python complex numbers and
@@ -12,7 +11,6 @@ never load it.
 """
 
 import cmath
-from dataclasses import dataclass
 
 from .errors import DegreeZero
 
@@ -90,22 +88,6 @@ class Poly:
         return f"Poly({list(self.coeffs)!r})"
 
 
-@dataclass(frozen=True)
-class HarmonicEval:
-    """Values and first partials of g = Re f and h = Im f at (x, y).
-
-    gx == hy and gy == -hx hold exactly: all four partials come from
-    the single complex number f'(x + iy).
-    """
-
-    g: float
-    h: float
-    gx: float
-    gy: float
-    hx: float
-    hy: float
-
-
 def eval_poly(p, z):
     """Horner evaluation of p at a complex point."""
     if type(z) is not complex:
@@ -140,25 +122,14 @@ def rounding_floor(p, x):
 
 
 def eval_with_derivative(p, z):
-    """One Horner pass returning (p(z), p'(z)).  p'(z) starts from a_n,
-    not 0 * z + a_n, so for z != 0 both equal taylor_shift(p, z).coeffs[:2]
-    bit for bit, signed zeros included."""
-    z = complex(z)
-    coeffs = p.coeffs
-    c = coeffs[-1]
-    if len(coeffs) == 1:
-        return c, 0j
-    b = c * z + coeffs[-2]
-    for a in reversed(coeffs[:-2]):
-        c = c * z + b
-        b = b * z + a
-    return b, c
+    """(p(z), p'(z)): the first two values of eval_jet."""
+    return eval_jet(p, z)[:2]
 
 
 def eval_jet(p, z):
     """One Horner pass returning (p(z), p'(z), p''(z)).  p' and p'' start
-    from a_n, as in eval_with_derivative, so the first two agree with it
-    bit for bit, signed zeros included."""
+    from a_n, not 0 * z + a_n, so for z != 0 the first two equal
+    taylor_shift(p, z).coeffs[:2] bit for bit, signed zeros included."""
     z = complex(z)
     *rest, b = p.coeffs
     c = d = 0j
@@ -261,14 +232,6 @@ def taylor_shift(p, v):
     q = Poly.__new__(Poly)
     q.coeffs = tuple(a)  # complex and trimmed, as p's were
     return q
-
-
-def harmonic_eval(p, x, y):
-    """Evaluate g, h and their first partials at the point (x, y)."""
-    w, d = eval_with_derivative(p, complex(x, y))
-    gx = d.real
-    hx = d.imag
-    return HarmonicEval(g=w.real, h=w.imag, gx=gx, gy=-hx, hx=hx, hy=gx)
 
 
 def critical_points(p, tol=1e-9):

@@ -9,16 +9,22 @@ curves regular everywhere.
 
 The tracer is an arclength predictor-corrector: predictor along the
 rotated gradient, corrector by damped Newton along the gradient.  A
-single parametrization replaces coordinate-swapped monotone patches;
-the patch-style guarantees (bounded extrema count, slope law, no
-merging of distinct components) are audited on the samples instead.
+single parametrization replaces coordinate-swapped monotone patches.
 All 4n boundary nodes are traced in lockstep on numpy arrays, one lane
-per node, so each arc is traced from both ends and the two traces audit
-each other.
+per node, so each arc is traced from both ends.  Two audits of the
+samples run on every solve: the reverse audit (both traces of an arc
+pair the nodes alike) and the separation audit (distinct components do
+not merge).  The other patch-style guarantees, the bounded extrema
+count and the slope law, are checked only by the tests, through
+direction_change_counts and the gradient at sampled points.
+
+Steps and tolerances are fixed multiples of the disc radius R, or of
+max(1, R)**n for values of f (the constants below); each function
+works them out from nodes.R and prob.base.degree.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .annulus import P_KIND, Q_KIND
 from .errors import (
@@ -44,6 +50,19 @@ FIELD_H = "h"
 
 _KIND_FOR_FIELD = {FIELD_G: P_KIND, FIELD_H: Q_KIND}
 _FIELD_FOR_KIND = {P_KIND: FIELD_G, Q_KIND: FIELD_H}
+
+# Steps and position tolerances, times R
+MAX_STEP = 1 / 64
+FIRST_STEP = 1 / 512
+MIN_STEP = 1e-12
+POS_TOL = 1e-9  # corrector stop; mid-chord audit slack
+MERGE_TOL = 1e-6  # separation audit: closest allowed approach
+BOUNDARY_MARGIN = 1e-3  # landing band inside the circle
+# Field-value tolerances, times max(1, R)**n
+ON_CURVE_TOL = 1e-8
+OTHER_FLOOR = 1e-4  # separation audit: the other field counts as zero
+TURN_CAP = 0.05  # largest tangent turn per step, in radians
+MAX_STEPS = 500_000  # step budget of one lockstep trace
 
 
 @dataclass(frozen=True)
@@ -109,38 +128,15 @@ class Matching:
         return [(i, j) for i, j in enumerate(self.pairs) if i < j]
 
 
-@dataclass(frozen=True)
-class TraceControl:
-    """Step-size and tolerance knobs for the continuation."""
-
-    max_step: float
-    min_step: float
-    first_step: float
-    pos_tol: float
-    on_curve_tol: float
-    merge_tol: float
-    other_floor: float
-    boundary_margin: float
-    turn_cap: float = 0.05
-    max_steps: int = 500_000
-
-    @classmethod
-    def for_disc(cls, R, degree):
-        scale = max(1.0, R) ** degree
-        return cls(
-            max_step=R / 64.0,
-            min_step=R * 1e-12,
-            first_step=R / 512.0,
-            pos_tol=1e-9 * R,
-            on_curve_tol=1e-8 * scale,
-            merge_tol=1e-6 * R,
-            other_floor=1e-4 * scale,
-            boundary_margin=1e-3 * R,
-        )
+def _value_scale(prob, R):
+    # max(1, R)**n, the size of f on the disc; the field-value
+    # tolerances are multiples of it
+    return max(1.0, R) ** prob.base.degree
 
 
 def _field_eval(prob, field, x, y):
     # Value and gradient of the selected shifted component at (x, y).
+    # Both gradients come from one f'(z), so Cauchy-Riemann holds exactly.
     w, d = eval_with_derivative(prob.base, complex(x, y))
     if field == FIELD_G:
         return w.real - prob.eps1, d.real, -d.imag
@@ -184,7 +180,7 @@ def _pick_eps(vals, delta0):
         k += 1
 
 
-def _land_on_circle(prob, field, x, y, R, ctrl):
+def _land_on_circle(prob, field, x, y, R):
     # Newton on the 2x2 system (field = 0, |z| = R) from (x, y).
     u, v = x, y
     for _ in range(30):
@@ -201,7 +197,7 @@ def _land_on_circle(prob, field, x, y, R, ctrl):
         v += dv
         if math.hypot(du, dv) <= 1e-12 * R:
             val, _, _ = _field_eval(prob, field, u, v)
-            if abs(val) > ctrl.on_curve_tol:
+            if abs(val) > ON_CURVE_TOL * _value_scale(prob, R):
                 return None
             return u, v
     return None
@@ -239,7 +235,7 @@ _BLOCK = 256
 _REFINE = 4.0
 
 
-def _trace_lanes(prob, nodes, starts, ctrl):
+def _trace_lanes(prob, nodes, starts, refine=1.0):
     """Trace the curves from every node of ``starts`` at once, in lockstep.
 
     Lane k starts at starts[k] and traces g (P-node) or h (Q-node); its
@@ -251,8 +247,13 @@ def _trace_lanes(prob, nodes, starts, ctrl):
     calls, not its number of lanes.  Returns (ends, lengths, samples):
     the snapped end node and arc length of each lane, and samples(k),
     the (m, 2) points of lane k from its start node to its landing point.
+    ``refine`` divides the largest and the first step.
     """
     R = nodes.R
+    max_step = R * MAX_STEP / refine
+    min_step = R * MIN_STEP
+    pos_tol = R * POS_TOL
+    margin = R * BOUNDARY_MARGIN
     L = len(starts)
     # the traced field is Re(c f): c = 1 on g-lanes, -i on h-lanes.  Its
     # gradient is conj(c f'), so -val / (c f') is the Newton step
@@ -264,8 +265,8 @@ def _trace_lanes(prob, nodes, starts, ctrl):
     check_jet = JetKernel(shifted, 2 * L, np.concatenate((c, c)))
     start_z, t, adf4, ad2f = (
         np.array(col) for col in zip(*(_start(prob, nd, R) for nd in starts)))
-    near_circle = R - ctrl.boundary_margin
-    inside = R - 2.0 * ctrl.boundary_margin
+    near_circle = R - margin
+    inside = R - 2.0 * margin
 
     def floats(*shape):
         return np.empty(shape or (L,))
@@ -292,9 +293,9 @@ def _trace_lanes(prob, nodes, starts, ctrl):
     absval = test[:2].reshape(2 * L)
     _, mid_dist, chord, neg_cos = test
     limit = floats(4, L)
-    limit[0] = ctrl.on_curve_tol
-    limit[2] = ctrl.max_step
-    limit[3] = -math.cos(ctrl.turn_cap)
+    limit[0] = ON_CURVE_TOL * _value_scale(prob, R)
+    limit[2] = max_step
+    limit[3] = -math.cos(TURN_CAP)
     mid_limit = limit[1]
     passed = np.empty((5, L), dtype=bool)
     tests_passed, mid_passed, converged = passed[:4], passed[1], passed[4]
@@ -306,19 +307,19 @@ def _trace_lanes(prob, nodes, starts, ctrl):
 
     with np.errstate(all="ignore"):
         z = start_z.copy()
-        h = np.full(L, ctrl.first_step)
+        h = np.full(L, R * FIRST_STEP / refine)
         length = np.zeros(L)
         entered = np.zeros(L, dtype=bool)
         active = np.ones(L, dtype=bool)
 
-        for _ in range(ctrl.max_steps):
+        for _ in range(MAX_STEPS):
             # conformal feature scale |f'| / |f''| caps the step: level-
             # curve branches only crowd together around critical points,
             # and there this ratio collapses, forcing steps finer than the
             # branch gap (f'' = 0 gives inf or nan, which fmin ignores)
             np.divide(adf4, ad2f, out=heff)
             np.fmin(heff, h, out=heff)
-            np.maximum(heff, ctrl.min_step, out=heff)
+            np.maximum(heff, min_step, out=heff)
             np.multiply(heff, 0.5, out=halfh)
             np.multiply(heff, 0.75, out=reach)
             np.multiply(t, heff, out=pred)
@@ -351,7 +352,7 @@ def _trace_lanes(prob, nodes, starts, ctrl):
                     np.less_equal(dist, reach, out=flag)
                     good &= flag
                     pending &= flag
-                np.greater(nrm, ctrl.pos_tol, out=flag)
+                np.greater(nrm, pos_tol, out=flag)
                 pending &= flag
                 if not np.count_nonzero(pending):
                     break
@@ -369,7 +370,7 @@ def _trace_lanes(prob, nodes, starts, ctrl):
             np.subtract(u, z, out=diff)
             np.abs(diff, out=chord)
             np.multiply(chord, 0.15, out=mid_limit)
-            mid_limit += 2.0 * ctrl.pos_tol
+            mid_limit += 2.0 * pos_tol
             # turn cap: cos(turn) = Re(tangent * conj(t)) = Im(c f' t) / |f'|
             # (a zero gradient makes it nan, which fails)
             np.multiply(der_u, t, out=tn)
@@ -383,7 +384,7 @@ def _trace_lanes(prob, nodes, starts, ctrl):
             np.greater(active, ok, out=rej)
             if np.count_nonzero(rej):
                 np.copyto(h, halfh, where=rej)
-                low = np.flatnonzero(rej & (h < ctrl.min_step))
+                low = np.flatnonzero(rej & (h < min_step))
                 if len(low):
                     zk = z[low[0]]
                     raise StepUnderflow(
@@ -395,7 +396,7 @@ def _trace_lanes(prob, nodes, starts, ctrl):
             np.greater_equal(rr, near_circle, out=flag, where=flag)
             if np.count_nonzero(flag):
                 for k in np.flatnonzero(flag):
-                    hit = _land(prob, nodes, starts[k], u[k], heff[k], ctrl)
+                    hit = _land(prob, nodes, starts[k], u[k], heff[k])
                     if hit is not None:
                         landing[k], ends[k] = hit
                         length[k] += abs(landing[k] - z[k])
@@ -420,8 +421,8 @@ def _trace_lanes(prob, nodes, starts, ctrl):
             np.logical_or(entered, rr < inside, out=entered, where=ok)
             # h stays within [min_step, 0.8 max_step]
             np.multiply(h, step_factor[iters], out=h, where=ok)
-            np.minimum(h, 0.8 * ctrl.max_step, out=h)
-            np.maximum(h, ctrl.min_step, out=h)
+            np.minimum(h, 0.8 * max_step, out=h)
+            np.maximum(h, min_step, out=h)
             if not np.count_nonzero(active):
                 break
         else:
@@ -452,15 +453,16 @@ def _start(prob, node, R):
     return z, t, 0.25 * gn, abs(d2f)
 
 
-def _land(prob, nodes, start, u, heff, ctrl):
+def _land(prob, nodes, start, u, heff):
     # A lane that started at ``start`` accepted u near the circle: refine
     # onto |z| = R.  A landing within reach of u replaces u, so every
     # sample stays inside the closed disc; returns it with its snapped
     # node, or None to keep tracing.
+    R = nodes.R
     cand = _land_on_circle(prob, _FIELD_FOR_KIND[start.kind], u.real, u.imag,
-                           nodes.R, ctrl)
+                           R)
     if cand is None or math.hypot(cand[0] - u.real, cand[1] - u.imag) > \
-            4.0 * max(heff, ctrl.boundary_margin):
+            4.0 * max(heff, R * BOUNDARY_MARGIN):
         return None
     end = _snap_to_node(nodes, start.kind, *cand)
     if end.index == start.index:
@@ -470,13 +472,13 @@ def _land(prob, nodes, start, u, heff, ctrl):
     return complex(*cand), end
 
 
-def trace_curve(prob, field, start, nodes, ctrl=None):
+def trace_curve(prob, field, start, nodes):
     """Trace one level-curve component from a boundary node to its partner.
 
     Unit tangent is the 90-degree rotation of the gradient, signed to
     point into the disc at the start and to preserve orientation after
-    that.  The predictor step adapts between min_step and max_step;
-    each predicted point is corrected back onto the curve by damped
+    that.  The predictor step adapts between MIN_STEP * R and
+    MAX_STEP * R; each predicted point is corrected back onto the curve by damped
     Newton (at most 5 iterations, else the step halves).  Tracing ends
     when the boundary is reached again; the landing is refined onto
     |z| = R and snapped to the nearest node of the same kind.  This is
@@ -484,9 +486,7 @@ def trace_curve(prob, field, start, nodes, ctrl=None):
     """
     if _KIND_FOR_FIELD[field] != start.kind:
         raise ValueError(f"field {field!r} cannot start at a {start.kind}-node")
-    if ctrl is None:
-        ctrl = TraceControl.for_disc(nodes.R, prob.base.degree)
-    ends, lengths, samples = _trace_lanes(prob, nodes, (start,), ctrl)
+    ends, lengths, samples = _trace_lanes(prob, nodes, (start,))
     return Arc(field=field, samples=samples(0), start_node=start,
                end_node=ends[0], length=float(lengths[0]))
 
@@ -562,19 +562,21 @@ def _close_pairs(arcs, tol):
     return i[head], j[head], k[head], dist[rank], local[cand][rank]
 
 
-def separation_audit(arcs, prob, ctrl):
-    """Distinct same-field arcs must stay merge_tol apart, except where
-    the other field is bounded away from zero (a mere crossing of the
-    conjugate family, not a merger).  Raises MatchingInconsistency."""
+def separation_audit(arcs, prob, R):
+    """Distinct same-field arcs must stay MERGE_TOL * R apart, except
+    where the other field is bounded away from zero (a mere crossing of
+    the conjugate family, not a merger).  Raises MatchingInconsistency."""
     other = {FIELD_G: FIELD_H, FIELD_H: FIELD_G}
+    merge_tol = R * MERGE_TOL
+    other_floor = OTHER_FLOOR * _value_scale(prob, R)
     for field in (FIELD_G, FIELD_H):
         group = [a.samples for a in arcs if a.field == field]
-        i, j, k, dist, m = _close_pairs(group, ctrl.merge_tol)
+        i, j, k, dist, m = _close_pairs(group, merge_tol)
         for row in range(len(i)):
             a, b = int(i[row]), int(j[row])
             mid = 0.5 * (group[b][k[row]] + group[a][m[row]])
             oval, _, _ = _field_eval(prob, other[field], mid[0], mid[1])
-            if abs(oval) <= ctrl.other_floor:
+            if abs(oval) <= other_floor:
                 pair = (i == a) & (j == b)
                 raise MatchingInconsistency(
                     f"{field}-arcs {a} and {b} within "
@@ -595,7 +597,7 @@ def _disputed(ends, count):
     return sorted(out)
 
 
-def compute_matchings(prob, ns, ctrl=None):
+def compute_matchings(prob, ns):
     """Trace every component of both families inside the disc.
 
     Returns (matchP, matchQ, arcs) with exactly n P-arcs and n Q-arcs.
@@ -605,26 +607,23 @@ def compute_matchings(prob, ns, ctrl=None):
     are traced once more with steps _REFINE times finer before the audit
     decides.  The separation audit runs before returning.
     """
-    if ctrl is None:
-        ctrl = TraceControl.for_disc(ns.R, prob.base.degree)
-    match_p, match_q, arcs = _audited_arcs(prob, ns, ctrl)
-    separation_audit(arcs, prob, ctrl)
+    match_p, match_q, arcs = _audited_arcs(prob, ns)
+    separation_audit(arcs, prob, ns.R)
     return match_p, match_q, arcs
 
 
-def _audited_arcs(prob, ns, ctrl):
+def _audited_arcs(prob, ns):
     # The traces of all lanes (the sample history dies on return, before
     # the separation audit needs its memory), the reverse audit, and the
     # arcs of the lower-index lanes.
     starts = ns.of_kind(P_KIND) + ns.of_kind(Q_KIND)
     count = len(starts) // 2
-    ends, lengths, samples = _trace_lanes(prob, ns, starts, ctrl)
+    ends, lengths, samples = _trace_lanes(prob, ns, starts)
     lanes = [(samples, k) for k in range(len(starts))]
     disputed = _disputed(ends, count)
     if disputed:
-        fine = replace(ctrl, max_step=ctrl.max_step / _REFINE,
-                       first_step=ctrl.first_step / _REFINE)
-        again = _trace_lanes(prob, ns, [starts[k] for k in disputed], fine)
+        again = _trace_lanes(prob, ns, [starts[k] for k in disputed],
+                             _REFINE)
         for j, k in enumerate(disputed):
             ends[k], lengths[k] = again[0][j], again[1][j]
             lanes[k] = (again[2], j)

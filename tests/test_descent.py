@@ -14,7 +14,12 @@ from openroots import (
     solve_root,
     taylor_shift,
 )
-from openroots.errors import AtTarget, ConvergenceFailure, DegreeZero
+from openroots.errors import (
+    AtTarget,
+    ConvergenceFailure,
+    DegreeZero,
+    RootFindError,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -149,6 +154,12 @@ class TestAllRoots:
             rebuilt = np.poly(roots)[::-1]  # ascending
             for a, b in zip(rebuilt, p.monic().coeffs):
                 assert abs(a - b) <= 1e-6
+
+    def test_underflowing_phase_is_a_root_find_error(self):
+        # arg(1e150 + 1e-200j) underflows: cmath.phase raises
+        # OverflowError there, the step's phases must not
+        with pytest.raises(RootFindError):
+            all_roots(Poly([1e150, 0, 1e150 + 1e-200j]))
 
 
 class TestPreimageCount:

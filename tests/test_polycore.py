@@ -13,7 +13,6 @@ from openroots import (
     critical_points,
     derivative,
     eval_poly,
-    harmonic_eval,
     synthetic_div,
     taylor_shift,
 )
@@ -26,6 +25,7 @@ from openroots.polycore import (
     eval_with_derivative,
     rounding_floor,
 )
+from openroots.tracer import PerturbedProblem, _field_eval
 
 
 def naive_eval(p, z):
@@ -233,27 +233,37 @@ class TestSyntheticDiv:
 
 
 class TestHarmonicEval:
+    """g = Re f, h = Im f and their gradients, as the tracer evaluates
+    them (``tracer._field_eval``, with eps1 = eps2 = 0)."""
+
+    @staticmethod
+    def fields(p, x, y):
+        # (g, h, gx, gy, hx, hy)
+        prob = PerturbedProblem(base=p, eps1=0.0, eps2=0.0)
+        g, gx, gy = _field_eval(prob, "g", x, y)
+        h, hx, hy = _field_eval(prob, "h", x, y)
+        return g, h, gx, gy, hx, hy
+
     def test_identity_map(self):
-        he = harmonic_eval(Poly([0, 1]), 2.0, 3.0)
-        assert (he.g, he.h, he.gx, he.gy, he.hx, he.hy) == (2, 3, 1, 0, 0, 1)
+        assert self.fields(Poly([0, 1]), 2.0, 3.0) == (2, 3, 1, 0, 0, 1)
 
     def test_square(self):
-        he = harmonic_eval(Poly([0, 0, 1]), 1.0, 1.0)
-        assert (he.g, he.h) == (0, 2)
-        assert (he.gx, he.gy) == (2, -2)
+        g, h, gx, gy, _, _ = self.fields(Poly([0, 0, 1]), 1.0, 1.0)
+        assert (g, h) == (0, 2)
+        assert (gx, gy) == (2, -2)
 
     def test_cubic_at_root(self):
-        he = harmonic_eval(Poly([-1, 0, 0, 1]), 1.0, 0.0)
-        assert (he.g, he.h, he.gx) == (0, 0, 3)
+        g, h, gx, _, _, _ = self.fields(Poly([-1, 0, 0, 1]), 1.0, 0.0)
+        assert (g, h, gx) == (0, 0, 3)
 
     def test_cauchy_riemann_exact(self):
         rng = np.random.default_rng(15)
         for _ in range(100):
             p = random_poly(rng, int(rng.integers(1, 9)), monic=False)
             z = random_point(rng)
-            he = harmonic_eval(p, z.real, z.imag)
-            assert he.gx == he.hy
-            assert he.gy == -he.hx
+            _, _, gx, gy, hx, hy = self.fields(p, z.real, z.imag)
+            assert gx == hy
+            assert gy == -hx
 
     def test_partials_match_finite_differences(self):
         rng = np.random.default_rng(16)
@@ -261,12 +271,17 @@ class TestHarmonicEval:
         for _ in range(25):
             p = random_poly(rng, int(rng.integers(1, 7)))
             z = random_point(rng)
-            he = harmonic_eval(p, z.real, z.imag)
-            gx_fd = (harmonic_eval(p, z.real + delta, z.imag).g - he.g) / delta
-            gy_fd = (harmonic_eval(p, z.real, z.imag + delta).g - he.g) / delta
-            scale = max(1.0, abs(he.gx), abs(he.gy))
-            assert abs(gx_fd - he.gx) <= 1e-4 * scale
-            assert abs(gy_fd - he.gy) <= 1e-4 * scale
+            g, h, gx, gy, hx, hy = self.fields(p, z.real, z.imag)
+            gx_fd, hx_fd = (
+                (a - b) / delta for a, b in
+                zip(self.fields(p, z.real + delta, z.imag)[:2], (g, h)))
+            gy_fd, hy_fd = (
+                (a - b) / delta for a, b in
+                zip(self.fields(p, z.real, z.imag + delta)[:2], (g, h)))
+            scale = max(1.0, abs(gx), abs(gy))
+            for fd, exact in ((gx_fd, gx), (gy_fd, gy), (hx_fd, hx),
+                              (hy_fd, hy)):
+                assert abs(fd - exact) <= 1e-4 * scale
 
 
 class TestCriticalPoints:

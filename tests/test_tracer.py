@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +11,6 @@ from openroots import (
     boundary_nodes,
     compute_matchings,
     eval_poly,
-    harmonic_eval,
     locate_boundary_nodes,
     perturb_regular,
     trace_curve,
@@ -26,9 +24,9 @@ from openroots.errors import (
 from openroots.tracer import (
     Matching,
     PerturbedProblem,
-    TraceControl,
     _close_pairs,
     _disputed,
+    _field_eval,
     _trace_lanes,
     direction_change_counts,
     reverse_audit,
@@ -142,22 +140,19 @@ class TestTraceCurve:
                 assert abs(h - prob.eps2) <= 1e-8
         assert claimed == set(range(6))
 
-    def test_step_budget_exhaustion(self):
-        from dataclasses import replace
-        from openroots.errors import StepUnderflow
+    def test_step_budget_exhaustion(self, monkeypatch):
         prob = perturb_regular(Poly([-1, 0, 0, 1]))
         ns = locate_boundary_nodes(prob.shifted())
-        ctrl = replace(TraceControl.for_disc(ns.R, 3), max_steps=3)
+        monkeypatch.setattr(tracer, "MAX_STEPS", 3)
         with pytest.raises(StepUnderflow):
-            trace_curve(prob, "g", ns.of_kind("P")[0], ns, ctrl)
+            trace_curve(prob, "g", ns.of_kind("P")[0], ns)
 
     def test_samples_within_max_step(self):
         prob = perturb_regular(Poly([-1, 0, 0, 1]))
         ns = locate_boundary_nodes(prob.shifted())
-        ctrl = TraceControl.for_disc(ns.R, 3)
-        arc = trace_curve(prob, "g", ns.of_kind("P")[0], ns, ctrl)
+        arc = trace_curve(prob, "g", ns.of_kind("P")[0], ns)
         deltas = np.linalg.norm(np.diff(arc.samples, axis=0), axis=1)
-        assert np.max(deltas) <= ctrl.max_step * (1 + 1e-9)
+        assert np.max(deltas) <= tracer.MAX_STEP * ns.R * (1 + 1e-9)
         # endpoints sit on the node positions
         for nd, sample in ((arc.start_node, arc.samples[0]),
                            (arc.end_node, arc.samples[-1])):
@@ -224,8 +219,7 @@ class TestComputeMatchings:
                     i = rng.randrange(0, m - 1)
                     x = 0.5 * (arc.samples[i][0] + arc.samples[i + 1][0])
                     y = 0.5 * (arc.samples[i][1] + arc.samples[i + 1][1])
-                    he = harmonic_eval(prob.base, x, y)
-                    fx, fy = (he.gx, he.gy) if arc.field == "g" else (he.hx, he.hy)
+                    _, fx, fy = _field_eval(prob, arc.field, x, y)
                     dx = arc.samples[i + 1][0] - arc.samples[i][0]
                     dy = arc.samples[i + 1][1] - arc.samples[i][1]
                     if abs(fy) >= abs(fx):
@@ -241,22 +235,22 @@ class TestComputeMatchings:
         p = matching_suite()[4]
         prob = perturb_regular(p)
         ns = locate_boundary_nodes(prob.shifted())
-        ctrl = TraceControl.for_disc(ns.R, p.degree)
-        _, _, arcs = compute_matchings(prob, ns, ctrl)
+        _, _, arcs = compute_matchings(prob, ns)
+        on_curve_tol = tracer.ON_CURVE_TOL * max(1.0, ns.R) ** p.degree
         target = complex(prob.eps1, prob.eps2)
         for arc in arcs:
             for x, y in arc.samples:
                 w = eval_poly(prob.base, complex(x, y)) - target
                 val = w.real if arc.field == "g" else w.imag
-                assert abs(val) <= ctrl.on_curve_tol
+                assert abs(val) <= on_curve_tol
 
-    def test_step_budget_exhaustion_many_lanes(self):
+    def test_step_budget_exhaustion_many_lanes(self, monkeypatch):
         p = matching_suite()[5]
         prob = perturb_regular(p)
         ns = locate_boundary_nodes(prob.shifted())
-        ctrl = replace(TraceControl.for_disc(ns.R, p.degree), max_steps=40)
+        monkeypatch.setattr(tracer, "MAX_STEPS", 40)
         with pytest.raises(StepUnderflow, match="budget"):
-            compute_matchings(prob, ns, ctrl)
+            compute_matchings(prob, ns)
 
 
 class TestLockstep:
@@ -269,15 +263,15 @@ class TestLockstep:
         for n in (3, 6, 10):
             prob = perturb_regular(random_poly(rng, n))
             ns = locate_boundary_nodes(prob.shifted())
-            ctrl = TraceControl.for_disc(ns.R, n)
             starts = ns.of_kind("P") + ns.of_kind("Q")
-            ends, lengths, samples = _trace_lanes(prob, ns, starts, ctrl)
+            ends, lengths, samples = _trace_lanes(prob, ns, starts)
             for k, start in enumerate(starts):
                 field = "g" if start.kind == "P" else "h"
-                arc = trace_curve(prob, field, start, ns, ctrl)
+                arc = trace_curve(prob, field, start, ns)
                 assert arc.end_node == ends[k]
                 assert arc.samples.shape == samples(k).shape
-                assert np.max(np.abs(arc.samples - samples(k))) <= ctrl.pos_tol
+                assert np.max(np.abs(arc.samples - samples(k))) <= \
+                    tracer.POS_TOL * ns.R
                 assert arc.length == pytest.approx(lengths[k], rel=1e-9)
 
     def test_arcs_are_lower_index_lanes(self):
@@ -313,12 +307,12 @@ class TestDisputedLanes:
     @staticmethod
     def faulty_first_trace(monkeypatch, faults):
         # _trace_lanes whose first ``faults`` calls send P-lane 0 to the
-        # wrong node; returns the log of (start indices, ctrl) per call
+        # wrong node; returns the log of (start indices, refine) per call
         calls, real = [], tracer._trace_lanes
 
-        def traced(prob, nodes, starts, ctrl):
-            ends, lengths, samples = real(prob, nodes, starts, ctrl)
-            calls.append(([nd.index for nd in starts], ctrl))
+        def traced(prob, nodes, starts, refine=1.0):
+            ends, lengths, samples = real(prob, nodes, starts, refine)
+            calls.append(([nd.index for nd in starts], refine))
             if len(calls) <= faults and starts[0].index == 0:
                 family = nodes.of_kind("P")
                 wrong = next(nd for nd in family
@@ -332,21 +326,26 @@ class TestDisputedLanes:
     def test_disputed_lanes_traced_again_finer(self, monkeypatch):
         prob = perturb_regular(Poly([-1, 0, 0, 1]))
         ns = locate_boundary_nodes(prob.shifted())
-        ctrl = TraceControl.for_disc(ns.R, 3)
-        want_p, want_q, want_arcs = compute_matchings(prob, ns, ctrl)
+        want_p, want_q, want_arcs = compute_matchings(prob, ns)
         calls = self.faulty_first_trace(monkeypatch, 1)
-        mp, mq, arcs = compute_matchings(prob, ns, ctrl)
+        mp, mq, arcs = compute_matchings(prob, ns)
         assert (mp, mq) == (want_p, want_q)
         assert [a.end_node for a in arcs] == [a.end_node for a in want_arcs]
         assert len(calls) == 2
         # lane 0, the lane of its true partner, and the lane of the node
         # it wrongly claimed (the lowest other one)
-        lanes, fine = calls[1]
+        assert calls[0][1] == 1.0
+        lanes, refine = calls[1]
         partner = want_p.pairs[0]
         wrong = min(set(range(6)) - {0, partner})
         assert lanes == sorted({0, partner, wrong})
-        assert fine.max_step == ctrl.max_step / 4
-        assert fine.first_step == ctrl.first_step / 4
+        assert refine == 4
+        # the kept arc of lane 0 is its retrace: the first and the largest
+        # step are a quarter of the defaults
+        assert arcs[0].start_node.index == 0
+        steps = np.linalg.norm(np.diff(arcs[0].samples, axis=0), axis=1)
+        assert steps[0] == pytest.approx(tracer.FIRST_STEP * ns.R / 4, rel=1e-6)
+        assert steps.max() <= tracer.MAX_STEP * ns.R / 4 * (1 + 1e-9)
 
     def test_dispute_that_persists_fails_the_audit(self, monkeypatch):
         prob = perturb_regular(Poly([-1, 0, 0, 1]))
