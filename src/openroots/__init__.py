@@ -25,7 +25,7 @@ from .annulus import (
     interleaving_check,
     locate_boundary_nodes,
 )
-from .bounds import boundary_min, openness_radius, reich_radius
+from .bounds import openness_radius, reich_radius
 from .descent import (
     DescentStepReport,
     all_roots,
@@ -39,7 +39,6 @@ from .matcher import (
     find_separated_pair,
     gauss_root,
     locate_crossing,
-    miranda_test,
     miranda_test_nd,
     run_pipeline,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "TruncatedSeries",
     "all_roots",
     "annulus_radius",
-    "boundary_min",
     "boundary_nodes",
     "choose_radii",
     "compose",
@@ -106,7 +104,6 @@ __all__ = [
     "interleaving_check",
     "locate_boundary_nodes",
     "locate_crossing",
-    "miranda_test",
     "miranda_test_nd",
     "multiply",
     "nodal_cubic_demo",

@@ -1,12 +1,6 @@
-"""Quantitative radii: properness bound, openness radius, boundary minimum."""
-
-import cmath
-import math
+"""Quantitative radii: properness bound and openness radius."""
 
 from .errors import DegreeZero, NonzeroConstantTerm, ZeroPolynomial
-from .polycore import LazyNumpy, eval_poly
-
-np = LazyNumpy(globals())
 
 
 def reich_radius(p):
@@ -49,47 +43,3 @@ def openness_radius(p):
         r *= 0.5
         if r < 1e-300:  # unreachable for a_j != 0
             raise ZeroPolynomial("radius underflow")
-
-
-def boundary_min(p, r, samples=None):
-    """Approximate min of |p| on the circle |z| = r; returns (d, d/2).
-
-    Dense angular sampling (4096 * max(1, n) points by default) refined
-    by golden-section search around the sample minimum.  Approximate,
-    not certified.
-    """
-    if r <= 0:
-        raise ValueError("r must be positive")
-    n = max(1, p.degree)
-    m = int(samples) if samples else 4096 * n
-    theta = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
-    desc = np.array(p.coeffs[::-1], dtype=complex)
-    vals = np.abs(np.polyval(desc, r * np.exp(1j * theta)))
-    i = int(np.argmin(vals))
-    d = float(vals[i])
-
-    step = 2.0 * math.pi / m
-    fa = float(vals[(i - 1) % m])
-    fc = float(vals[(i + 1) % m])
-    if d < fa and d < fc:
-        f = lambda t: abs(eval_poly(p, r * cmath.exp(1j * t)))
-        d = min(d, _golden_min(f, theta[i] - step, theta[i] + step))
-    return d, d / 2.0
-
-
-def _golden_min(f, a, c):
-    # Golden-section search on [a, c]; 60 steps shrink the bracket by
-    # 0.618^60 ~ 3e-13, below any angle resolution that matters here.
-    inv = 0.5 * (math.sqrt(5.0) - 1.0)
-    x1, x2 = c - inv * (c - a), a + inv * (c - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(60):
-        if f2 < f1:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv * (c - a)
-            f2 = f(x2)
-        else:
-            c, x2, f2 = x2, x1, f1
-            x1 = c - inv * (c - a)
-            f1 = f(x1)
-    return min(f1, f2)

@@ -169,21 +169,6 @@ def _pair_miranda(prob, z, half):
     return lhs < abs(b[1]) * half
 
 
-def miranda_test(prob, box):
-    """``miranda_test_nd`` for g - eps1 and h - eps2 on a box in plane
-    coordinates at 66 points per edge, corners included: non-strict
-    opposite signs on opposite edges, over both field-to-axis assignments
-    and both sign orientations (the classical Poincare-Miranda
-    hypothesis), so True implies a zero in the box at sampling resolution.
-    """
-    if box.dim != 2:
-        raise ValueError("miranda_test is the 2-D case; use miranda_test_nd")
-    f = prob.shifted()
-    return miranda_test_nd([lambda pt: eval_poly(f, complex(*pt)).real,
-                            lambda pt: eval_poly(f, complex(*pt)).imag],
-                           box, grid_points=66)
-
-
 def miranda_test_nd(funcs, box, grid_points=9):
     """Sign conditions on the n opposing face pairs of an n-box.
 

@@ -15,8 +15,9 @@ per node, so each arc is traced from both ends.  Two audits of the
 samples run on every solve: the reverse audit (both traces of an arc
 pair the nodes alike) and the separation audit (distinct components do
 not merge).  The other patch-style guarantees, the bounded extrema
-count and the slope law, are checked only by the tests, through
-direction_change_counts and the gradient at sampled points.
+count and the slope law, are checked only by the tests:
+test_extrema_budget counts direction changes along the samples, and
+test_slope_cross_check compares the gradient at sampled points.
 
 Steps and tolerances are fixed multiples of the disc radius R, or of
 max(1, R)**n for values of f (the constants below); each function
@@ -93,7 +94,11 @@ class Arc:
     samples: "np.ndarray"
     start_node: object
     end_node: object
-    length: float
+
+    @property
+    def length(self):
+        """Length of the sample polyline."""
+        return float(np.hypot(*np.diff(self.samples, axis=0).T).sum())
 
     def endpoint_indices(self):
         return (self.start_node.index, self.end_node.index)
@@ -244,9 +249,9 @@ def _trace_lanes(prob, nodes, starts, refine=1.0):
     predictor-corrector runs once per step for all lanes.  Lanes stay
     resident after they land: masks, not compaction, select the lanes a
     result applies to, because the cost of a step is its number of numpy
-    calls, not its number of lanes.  Returns (ends, lengths, samples):
-    the snapped end node and arc length of each lane, and samples(k),
-    the (m, 2) points of lane k from its start node to its landing point.
+    calls, not its number of lanes.  Returns (ends, samples): the
+    snapped end node of each lane, and samples(k), the (m, 2) points of
+    lane k from its start node to its landing point.
     ``refine`` divides the largest and the first step.
     """
     R = nodes.R
@@ -308,7 +313,6 @@ def _trace_lanes(prob, nodes, starts, refine=1.0):
     with np.errstate(all="ignore"):
         z = start_z.copy()
         h = np.full(L, R * FIRST_STEP / refine)
-        length = np.zeros(L)
         entered = np.zeros(L, dtype=bool)
         active = np.ones(L, dtype=bool)
 
@@ -399,10 +403,8 @@ def _trace_lanes(prob, nodes, starts, refine=1.0):
                     hit = _land(prob, nodes, starts[k], u[k], heff[k])
                     if hit is not None:
                         landing[k], ends[k] = hit
-                        length[k] += abs(landing[k] - z[k])
                         active[k] = ok[k] = False
 
-            np.add(length, chord, out=length, where=ok)
             np.copyto(z, u, where=ok)
             # the new unit tangent, oriented along the previous one
             np.copysign(grad_u, cos, out=sgrad)
@@ -436,7 +438,7 @@ def _trace_lanes(prob, nodes, starts, refine=1.0):
             + [landing[k:k + 1]])
         return np.column_stack((pts.real, pts.imag))
 
-    return ends, length, samples
+    return ends, samples
 
 
 def _start(prob, node, R):
@@ -482,13 +484,15 @@ def trace_curve(prob, field, start, nodes):
     Newton (at most 5 iterations, else the step halves).  Tracing ends
     when the boundary is reached again; the landing is refined onto
     |z| = R and snapped to the nearest node of the same kind.  This is
-    the one-lane case of the lockstep tracer behind compute_matchings.
+    the one-lane case of the lockstep tracer behind compute_matchings;
+    the pipeline does not call it.  It is kept for library users and for
+    the benchmark's probes, which count its calls and samples.
     """
     if _KIND_FOR_FIELD[field] != start.kind:
         raise ValueError(f"field {field!r} cannot start at a {start.kind}-node")
-    ends, lengths, samples = _trace_lanes(prob, nodes, (start,))
+    ends, samples = _trace_lanes(prob, nodes, (start,))
     return Arc(field=field, samples=samples(0), start_node=start,
-               end_node=ends[0], length=float(lengths[0]))
+               end_node=ends[0])
 
 
 def reverse_audit(kind, ends):
@@ -618,15 +622,15 @@ def _audited_arcs(prob, ns):
     # arcs of the lower-index lanes.
     starts = ns.of_kind(P_KIND) + ns.of_kind(Q_KIND)
     count = len(starts) // 2
-    ends, lengths, samples = _trace_lanes(prob, ns, starts)
+    ends, samples = _trace_lanes(prob, ns, starts)
     lanes = [(samples, k) for k in range(len(starts))]
     disputed = _disputed(ends, count)
     if disputed:
-        again = _trace_lanes(prob, ns, [starts[k] for k in disputed],
-                             _REFINE)
+        again_ends, again = _trace_lanes(
+            prob, ns, [starts[k] for k in disputed], _REFINE)
         for j, k in enumerate(disputed):
-            ends[k], lengths[k] = again[0][j], again[1][j]
-            lanes[k] = (again[2], j)
+            ends[k] = again_ends[j]
+            lanes[k] = (again, j)
     matchings, arcs = [], []
     for offset in (0, count):
         kind = starts[offset].kind
@@ -637,21 +641,5 @@ def _audited_arcs(prob, ns):
             samples, j = lanes[offset + i]
             arcs.append(Arc(field=_FIELD_FOR_KIND[kind], samples=samples(j),
                             start_node=starts[offset + i],
-                            end_node=ends[offset + i],
-                            length=float(lengths[offset + i])))
+                            end_node=ends[offset + i]))
     return matchings[0], matchings[1], arcs
-
-
-def direction_change_counts(arc, floor):
-    """Sign changes of dx and dy along the samples, ignoring jitter
-    below ``floor`` (used to audit the extrema budget)."""
-    deltas = np.diff(arc.samples, axis=0)
-    out = []
-    for axis in (0, 1):
-        seq = deltas[:, axis]
-        seq = seq[np.abs(seq) > floor]
-        if len(seq) < 2:
-            out.append(0)
-            continue
-        out.append(int(np.sum(np.sign(seq[1:]) != np.sign(seq[:-1]))))
-    return tuple(out)

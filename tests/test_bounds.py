@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_poly
-from openroots import Poly, boundary_min, eval_poly, openness_radius, reich_radius
+from openroots import Poly, eval_poly, openness_radius, reich_radius
 from openroots.errors import DegreeZero, NonzeroConstantTerm, ZeroPolynomial
 
 
@@ -96,34 +96,10 @@ class TestOpennessRadius:
 
 
 class TestBoundaryMin:
-    def test_monomial_constant_modulus(self):
-        d, delta = boundary_min(Poly([0, 0, 0, 1]), 2.0)
-        assert abs(d - 8.0) <= 1e-9 * 8.0
-        assert delta == d / 2
-
-    def test_square_plus_z_small_circle(self):
-        # min at z = -0.1: |0.01 - 0.1| = 0.09; cross-check by sampling
-        p = Poly([0, 1, 1])
-        d, _ = boundary_min(p, 0.1)
-        assert abs(d - 0.09) <= 1e-9
-        rng = np.random.default_rng(24)
-        dense = min(abs(eval_poly(p, z)) for z in circle_samples(rng, 0.1, 20000))
-        assert d <= dense + 1e-12
-
-    def test_identity(self):
-        d, delta = boundary_min(Poly([0, 1]), 1.0)
-        assert abs(d - 1.0) <= 1e-12
-        assert abs(delta - 0.5) <= 1e-12
-
+    # the minimum of |p| on a circle, taken over samples
     def test_positive_inside_openness_radius(self):
         p = Poly([0, 1, 1])
         r = openness_radius(p)
-        d, delta = boundary_min(p, r)
-        assert d > 0 and delta == d / 2
-
-    def test_sampling_convergence(self):
-        for coeffs, r in (([-1, 0, 0, 1], 0.7), ([0, 1, 1], 0.5)):
-            p = Poly(coeffs)
-            full, _ = boundary_min(p, r)
-            half, _ = boundary_min(p, r, samples=2048 * max(1, p.degree))
-            assert abs(full - half) <= 1e-6 * max(1.0, abs(full))
+        rng = np.random.default_rng(24)
+        assert min(abs(eval_poly(p, z))
+                   for z in circle_samples(rng, r, 4096)) > 0

@@ -10,11 +10,11 @@ from openroots import (
     BoxND,
     Poly,
     compute_matchings,
+    eval_poly,
     find_separated_pair,
     gauss_root,
     locate_boundary_nodes,
     locate_crossing,
-    miranda_test,
     miranda_test_nd,
     perturb_regular,
     run_pipeline,
@@ -131,23 +131,26 @@ class TestFindSeparatedPair:
             find_separated_pair(Matching(pairs=(1, 0)), Matching(pairs=(1, 0, 3, 2)), 1)
 
 
+def plane_miranda(prob, box):
+    # the sampled 2-D test on g - eps1 and h - eps2, 66 points per edge
+    f = prob.shifted()
+    return miranda_test_nd([lambda pt: eval_poly(f, complex(*pt)).real,
+                            lambda pt: eval_poly(f, complex(*pt)).imag],
+                           box, grid_points=66)
+
+
 class TestMirandaTest:
     def test_identity_centered_box(self):
         prob = perturb_regular(Poly([0, 1]))
-        assert miranda_test(prob, BoxND((-1, -1), (1, 1))) is True
+        assert plane_miranda(prob, BoxND((-1, -1), (1, 1))) is True
 
     def test_identity_offset_box(self):
         prob = perturb_regular(Poly([0, 1]))
-        assert miranda_test(prob, BoxND((1, -1), (2, 1))) is False
+        assert plane_miranda(prob, BoxND((1, -1), (2, 1))) is False
 
     def test_square_minus_one_near_root(self):
         prob = perturb_regular(Poly([-1, 0, 1]))
-        assert miranda_test(prob, BoxND((0.9, -0.1), (1.1, 0.1))) is True
-
-    def test_dim_checked(self):
-        prob = perturb_regular(Poly([0, 1]))
-        with pytest.raises(ValueError):
-            miranda_test(prob, BoxND((0, 0, 0), (1, 1, 1)))
+        assert plane_miranda(prob, BoxND((0.9, -0.1), (1.1, 0.1))) is True
 
 
 class TestMirandaNd:

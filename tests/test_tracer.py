@@ -28,7 +28,6 @@ from openroots.tracer import (
     _disputed,
     _field_eval,
     _trace_lanes,
-    direction_change_counts,
     reverse_audit,
 )
 
@@ -200,10 +199,11 @@ class TestComputeMatchings:
             _, _, arcs = compute_matchings(prob, ns)
             budget = 2 * n * (n - 1)
             for arc in arcs:
-                dx_changes, dy_changes = direction_change_counts(
-                    arc, 1e-7 * ns.R)
-                assert dx_changes <= budget
-                assert dy_changes <= budget
+                # sign changes of dx and of dy along the samples, ignoring
+                # jitter below 1e-7 R
+                for seq in np.diff(arc.samples, axis=0).T:
+                    seq = np.sign(seq[np.abs(seq) > 1e-7 * ns.R])
+                    assert np.count_nonzero(seq[1:] != seq[:-1]) <= budget
 
     def test_slope_cross_check(self):
         # slope of a polyline segment vs the analytic slope -fx/fy at the
@@ -264,7 +264,7 @@ class TestLockstep:
             prob = perturb_regular(random_poly(rng, n))
             ns = locate_boundary_nodes(prob.shifted())
             starts = ns.of_kind("P") + ns.of_kind("Q")
-            ends, lengths, samples = _trace_lanes(prob, ns, starts)
+            ends, samples = _trace_lanes(prob, ns, starts)
             for k, start in enumerate(starts):
                 field = "g" if start.kind == "P" else "h"
                 arc = trace_curve(prob, field, start, ns)
@@ -272,7 +272,8 @@ class TestLockstep:
                 assert arc.samples.shape == samples(k).shape
                 assert np.max(np.abs(arc.samples - samples(k))) <= \
                     tracer.POS_TOL * ns.R
-                assert arc.length == pytest.approx(lengths[k], rel=1e-9)
+                polyline = np.hypot(*np.diff(samples(k), axis=0).T).sum()
+                assert arc.length == pytest.approx(polyline, rel=1e-9)
 
     def test_arcs_are_lower_index_lanes(self):
         prob = perturb_regular(matching_suite()[4])
@@ -311,14 +312,14 @@ class TestDisputedLanes:
         calls, real = [], tracer._trace_lanes
 
         def traced(prob, nodes, starts, refine=1.0):
-            ends, lengths, samples = real(prob, nodes, starts, refine)
+            ends, samples = real(prob, nodes, starts, refine)
             calls.append(([nd.index for nd in starts], refine))
             if len(calls) <= faults and starts[0].index == 0:
                 family = nodes.of_kind("P")
                 wrong = next(nd for nd in family
                              if nd.index not in (0, ends[0].index))
                 ends[0] = wrong
-            return ends, lengths, samples
+            return ends, samples
 
         monkeypatch.setattr(tracer, "_trace_lanes", traced)
         return calls
