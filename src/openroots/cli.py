@@ -162,7 +162,8 @@ def run(argv):
             report["roots"] = [_root_entry(p, z) for z in roots]
         else:
             pipe = run_pipeline(p, tol=args.tol)
-            report["roots"] = [_root_entry(p, pipe.root)]
+            report["roots"] = [dict(_root_entry(p, pipe.root),
+                                    stop=pipe.stop, floor=pipe.floor)]
             report["R"] = pipe.nodes.R
             report["eps"] = [pipe.eps1, pipe.eps2]
             if args.verbose:

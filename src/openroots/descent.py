@@ -28,8 +28,8 @@ from .errors import (
 )
 # eval_with_derivative is not called here; bench/tests/test_probes.py
 # deletes this binding to check that absent probes are reported.
-from .polycore import (Poly, eval_poly, eval_with_derivative, rounding_floor,
-                       synthetic_div, taylor_shift)
+from .polycore import (Poly, _floor_sum, _horner_mags, eval_poly,
+                       eval_with_derivative, synthetic_div, taylor_shift)
 
 _U = 2.0 ** -53  # unit roundoff of binary64
 _UP = 1.0 + 8 * _U  # exact; lifts a bound past its own few roundings
@@ -111,10 +111,11 @@ def descent_step(p, v, t, radius_cap=None):
             rep._mags = mags
             return rep
     raise ConvergenceFailure(
-        f"no numerically decreasing step at v = {v} (residual {before:.3e})")
+        f"no numerically decreasing step at v = {v} (residual {before:.3e})",
+        v, before)
 
 
-def _halvings(p, v, rep):
+def _halvings(p, v, rep, p_mags=None):
     """(beta_k, L_k) for the halvings beta_k = beta/2^k, k = 1..8, of the
     step rep from v, where L_k is a lower bound on the computed residual
     |p(z_k) - t| at z_k = v + beta_k e^(i psi), barring underflow.  L_k
@@ -143,6 +144,9 @@ def _halvings(p, v, rep):
       residual is < 2^1023 and its abs cannot overflow (abs would
       raise).  Larger, L_k <= 0 and nothing is skipped.  An inf or nan
       in S_k makes L_k -inf or nan, which skips nothing.
+
+    ``p_mags``, p's |a_i| as ``_horner_mags`` gives them, spares a
+    caller that bounds many steps of one p recomputing them.
     """
     g = (4 * p.degree + 8) * _U
     mags = rep._mags
@@ -153,7 +157,7 @@ def _halvings(p, v, rep):
     a = 0.0
     for m in mags[:1:-1]:
         a = a * h1 + m
-    floor2 = 2.0 * rounding_floor(p, (w + h1) * _UP)
+    floor2 = 2.0 * _floor_sum(p_mags or _horner_mags(p), (w + h1) * _UP)
     top = rep.before * (1.0 - g) if rep.before < 2.0 ** 1022 else 0.0
     hi = 1.0 + g
     for _ in range(8):
@@ -183,6 +187,7 @@ def solve_root(p, v0, t=0j, tol=1e-9, max_iter=10_000):
     v = complex(v0)
     t = complex(t)
     res = abs(eval_poly(p, v) - t)
+    p_mags = _horner_mags(p)  # |a_i| of p, for every halving bound
     for _ in range(max_iter):
         if res <= tol:
             return v
@@ -191,7 +196,8 @@ def solve_root(p, v0, t=0j, tol=1e-9, max_iter=10_000):
         except AtTarget:
             # res is |f(v) - t| > tol, already evaluated at this v
             raise ConvergenceFailure(
-                f"residual {res:.3e} stuck at the noise floor above tol {tol:.3e}")
+                f"residual {res:.3e} stuck at the noise floor above tol "
+                f"{tol:.3e}", v, res)
         best_v = v + rep.step
         best_res = bar = rep.after
         if rep.s == 1:
@@ -200,7 +206,7 @@ def solve_root(p, v0, t=0j, tol=1e-9, max_iter=10_000):
             if newton_res < bar:
                 bar = newton_res
         phase = cmath.exp(1j * rep.psi)
-        for beta, low in _halvings(p, v, rep):
+        for beta, low in _halvings(p, v, rep, p_mags):
             if low > bar:
                 break
             cand = v + beta * phase

@@ -18,7 +18,16 @@ class NonzeroConstantTerm(RootFindError):
 
 
 class ConvergenceFailure(RootFindError):
-    """An iterative solve exhausted its budget before reaching tolerance."""
+    """An iterative solve exhausted its budget before reaching tolerance.
+
+    ``point`` and ``residual`` are the iterate it stopped at and its
+    residual, where the solver names them (None otherwise).
+    """
+
+    def __init__(self, message, point=None, residual=None):
+        super().__init__(message)
+        self.point = point
+        self.residual = residual
 
 
 class AtTarget(RootFindError):

@@ -7,7 +7,9 @@ traced polylines gives the crossing z*, and the Taylor coefficients of
 f - eps at z* prove, in closed form, that one box of diameter
 sqrt(tol) / 10 about z* holds a common zero of the two fields (strict
 opposite signs on opposite box edges, the Poincare-Miranda hypothesis).
-Polishing the crossing against the original polynomial yields a root.
+Polishing the crossing against the original polynomial yields a root:
+one within tol, or one whose residual is proven to be at the rounding
+floor.
 """
 
 import itertools
@@ -18,15 +20,16 @@ from dataclasses import dataclass
 
 from . import annulus as annulus_mod
 from .annulus import P_KIND, Q_KIND
-from .descent import solve_root
+from .descent import _U, solve_root
 from .errors import (
+    ConvergenceFailure,
     DegreeZero,
     LocalizationFailure,
     PipelineError,
     RootFindError,
 )
-from .polycore import (LazyNumpy, eval_poly, eval_with_derivative,
-                       rounding_floor, taylor_shift)
+from .polycore import (LazyNumpy, eval_bound, eval_poly,
+                       eval_with_derivative, rounding_floor, taylor_shift)
 from .tracer import (
     FIELD_G,
     FIELD_H,
@@ -312,12 +315,59 @@ def locate_crossing(prob, arc_a, arc_b, tol=1e-10):
     return z_ref.real, z_ref.imag
 
 
+def _residual_bound(p, z):
+    """(v, e, floor): Horner's p(z), its running error bound (eval_bound),
+    and the oracle's rounding floor 4n u sum |a_i| |z|^i, lowered by
+    (8n + 16)u to stay below the same sum computed in any order."""
+    value, err, total = eval_bound(p, z)
+    n = p.degree
+    return value, err, 4 * n * _U * total * (1.0 - (8 * n + 16) * _U)
+
+
+def _polish(p, z, tol):
+    # (root, stop, floor): solve_root from z stops within tol.  Where it
+    # gets stuck at its noise floor (1e-13 times the largest Taylor
+    # coefficient, coarser than rounding), Newton from that point, while
+    # the residual falls, may still reach tol; otherwise the point is
+    # taken when |p^(z)| + e(z), lifted past the rounding of the sum and
+    # of a residual recomputed in higher precision, proves its residual
+    # within the floor
+    try:
+        root = solve_root(p, z, 0j, tol)
+        return root, "tol", _residual_bound(p, root)[2]
+    except ConvergenceFailure as exc:
+        root, res = exc.point, exc.residual
+        if root is None:
+            raise
+        for _ in range(3):
+            value, slope = eval_with_derivative(p, root)
+            if slope == 0:
+                break
+            cand = root - value / slope
+            cand_res = abs(eval_poly(p, cand))
+            if not cand_res < res:
+                break
+            root, res = cand, cand_res
+        value, err, floor = _residual_bound(p, root)
+        if res <= tol:
+            return root, "tol", floor
+        if (abs(value) + err) * (1.0 + 16 * _U) > max(tol, floor):
+            raise
+        return root, "floor", floor
+
+
 @dataclass(frozen=True)
 class PipelineReport:
-    """Everything the full run produced (consumed by the CLI/SVG)."""
+    """Everything the full run produced (consumed by the CLI/SVG).
+
+    ``stop`` says which bound the root's residual meets: "tol", or
+    "floor", the rounding floor ``floor`` (``_residual_bound``) at the root.
+    """
 
     root: complex
     residual: float
+    stop: str
+    floor: float
     nodes: object
     arcs: list
     match_p: object
@@ -352,7 +402,8 @@ def run_pipeline(p, tol=1e-9):
     """Perturb, find boundary nodes, trace, match, localize, polish.
 
     Internal tolerances derive from tol: critical-point residual
-    100 * tol, crossing localization sqrt(tol) / 10, final polish tol.
+    100 * tol, crossing localization sqrt(tol) / 10, final polish tol or
+    the rounding floor (``_polish``).
     """
     if p.degree < 1:
         raise DegreeZero("root finding needs degree >= 1")
@@ -372,10 +423,12 @@ def run_pipeline(p, tol=1e-9):
     with _stage("crossing", timings):
         xy = locate_crossing(prob, arc_g, arc_h, math.sqrt(tol) / 10.0)
     with _stage("polish", timings):
-        root = solve_root(p, complex(xy[0], xy[1]), 0j, tol)
+        root, stop, floor = _polish(p, complex(xy[0], xy[1]), tol)
     return PipelineReport(
         root=root,
         residual=abs(eval_poly(p, root)),
+        stop=stop,
+        floor=floor,
         nodes=ns,
         arcs=arcs,
         match_p=match_p,
@@ -389,5 +442,6 @@ def run_pipeline(p, tol=1e-9):
 
 
 def gauss_root(p, tol=1e-9):
-    """One root of p with |p(z)| <= tol, by the full curve pipeline."""
+    """One root of p with |p(z)| <= tol, or within the rounding floor, by
+    the full curve pipeline."""
     return run_pipeline(p, tol=tol).root

@@ -1,9 +1,9 @@
 """Complex polynomial arithmetic.
 
 Dense ascending-power representation shared by every other module:
-Horner evaluation with first and second derivatives, its rounding
-floor, differentiation, and Taylor recentering by repeated synthetic
-division.
+Horner evaluation with first and second derivatives or with a running
+error bound, its rounding floor, the batched Taylor kernel,
+differentiation, and Taylor recentering by repeated synthetic division.
 
 numpy is imported on first use (``LazyNumpy``): the scalar paths
 (Horner, recentering, descent) run on plain Python complex numbers and
@@ -11,6 +11,8 @@ never load it.
 """
 
 import cmath
+import math
+from array import array
 
 from .errors import DegreeZero
 
@@ -99,6 +101,46 @@ def eval_poly(p, z):
     return acc
 
 
+def _horner_mags(p):
+    # |a_n|, ..., |a_0|: a caller that needs them for many floors of one
+    # polynomial takes them once and calls _floor_sum.  Unboxed doubles:
+    # a tuple of float objects per solve_root left the descent
+    # benchmark's peak RSS 4-6 MB higher
+    return array("d", map(abs, reversed(p.coeffs)))
+
+
+def eval_bound(p, z):
+    """One Horner pass returning (v, e, M): v = eval_poly(p, z) bit for
+    bit, e >= |v - p(z)| and M = sum |a_i| |z|^i, barring underflow.
+
+    e is the running error bound of Horner's rule (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 5.1), in complex
+    arithmetic: the step acc' = fl(fl(acc z) + a) errs by at most
+    sqrt(2) gamma_2 |acc| |z| <= 3u |acc| |z| in the product and gamma_1
+    |acc'| <= 2u |acc'| in the sum, and carries the error of acc times
+    |z|, so e = u G with G <- (G + 3|acc|) |z| + 2|acc'|.  With abs
+    within 2u, the computed G is at most 4n + 2 roundings low; the
+    factor 1 + (6n + 4)u, exact in binary64, lifts e past that and its
+    own rounding.
+    """
+    if type(z) is not complex:
+        z = complex(z)
+    x = abs(z)
+    mags = _horner_mags(p)
+    coeffs = reversed(p.coeffs)
+    acc = next(coeffs)
+    size = total = mags[0]
+    g = 0.0
+    for a, mag in zip(coeffs, mags[1:]):
+        acc = acc * z + a
+        g = (g + 3.0 * size) * x
+        size = abs(acc)
+        g += 2.0 * size
+        total = total * x + mag
+    n = len(mags) - 1
+    return acc, g * 2.0 ** -53 * (1.0 + (3 * n + 2) * 2.0 ** -52), total
+
+
 def rounding_floor(p, x):
     """gamma * sum |a_i| x^i for degree n: bounds the rounding error of
     Horner's p(z), and sum_k |b^_k - b_k| r^k over the coefficients of
@@ -114,10 +156,15 @@ def rounding_floor(p, x):
     of |z| + r, is short by <= gamma_(5n+5): gamma_(12n+5) / (1 -
     gamma_(5n+5)) <= gamma_(17n+10).
     """
-    m = 17 * p.degree + 10
+    return _floor_sum(_horner_mags(p), x)
+
+
+def _floor_sum(mags, x):
+    # rounding_floor from the magnitudes _horner_mags(p)
+    m = 17 * (len(mags) - 1) + 10
     acc = 0.0
-    for a in reversed(p.coeffs):
-        acc = acc * x + abs(a)
+    for a in mags:
+        acc = acc * x + a
     return m * 2.0 ** -53 / (1.0 - m * 2.0 ** -53) * acc
 
 
@@ -145,38 +192,43 @@ def eval_jet(p, z):
 
 
 class JetKernel:
-    """p, p' and p'' at many points at once: the vectorised eval_jet.
+    """The Taylor coefficients of p at many points at once.
 
-    Row k of a preallocated (n + 1, size) buffer takes scale * z**k by a
-    running product down the rows, and one (3, n + 1) @ (n + 1, size)
-    product with the coefficient rows of p, p', p'' gives the values,
-    each column times its ``scale`` (1 by default).  Power sums round
-    differently from Horner, within n * u * sum |a_k| |z|^k.
+    Row m of a preallocated (n + 1, size) buffer takes scale * z**m by a
+    running product down the rows, and one (n + 1) x (n + 1) product
+    with the rows C(m + k, k) a_(m+k) of p gives row k of ``out``,
+    b_k = p^(k)(z) / k!, each column times its ``scale`` (1 by
+    default): rows 0 and 1 are p and p'.  b_k is within gamma_(6n+5)
+    sum_j C(j, k) |a_j| |z|^(j-k) of its exact value: the powers within
+    gamma_3 per product, the matrix entries within gamma_2, and the
+    product, a real dot product of length 2(n + 1) per part in any order,
+    within sqrt(2) gamma_(2n+2) (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 3.1, 3.5, 3.6).
     """
 
     __slots__ = ("matrix", "powers", "out", "_tail", "_rows")
 
     def __init__(self, p, size, scale=1.0):
         n = p.degree
-        a = np.array(p.coeffs, dtype=complex)
-        k = np.arange(n + 1)
-        self.matrix = np.zeros((3, n + 1), dtype=complex)
-        self.matrix[0] = a
-        self.matrix[1, :n] = k[1:] * a[1:]
-        self.matrix[2, :n - 1] = (k[2:] * (k[2:] - 1)) * a[2:]
+        a = p.coeffs
+        self.matrix = np.zeros((n + 1, n + 1), dtype=complex)
+        for k in range(n + 1):
+            self.matrix[k, :n + 1 - k] = [
+                math.comb(m + k, k) * a[m + k] for m in range(n + 1 - k)]
         self.powers = np.empty((n + 1, size), dtype=complex)
         self.powers[0] = scale
-        self.out = np.empty((3, size), dtype=complex)
+        self.out = np.empty((n + 1, size), dtype=complex)
         self._tail = self.powers[1:]
-        self._rows = [(self.matrix[:r], self.out[:r]) for r in range(4)]
+        self._rows = [(self.matrix[:r], self.out[:r]) for r in range(n + 2)]
 
-    def __call__(self, zs, rows=3):
-        """The first ``rows`` of the rows p(zs), p'(zs), p''(zs), in a
-        buffer the next call overwrites; zs holds ``size`` points."""
+    def __call__(self, zs, rows=None):
+        """The first ``rows`` (default all) of the rows b_0(zs), ...,
+        b_n(zs), in a buffer the next call overwrites; zs holds ``size``
+        points."""
         pw = self.powers
         self._tail[...] = zs
         np.multiply.accumulate(pw, axis=0, out=pw)
-        matrix, out = self._rows[rows]
+        matrix, out = self._rows[-1 if rows is None else rows]
         return np.matmul(matrix, pw, out=out)
 
 

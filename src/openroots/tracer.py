@@ -8,16 +8,16 @@ that neither level passes through a critical point of f, making both
 curves regular everywhere.
 
 The tracer is an arclength predictor-corrector: predictor along the
-rotated gradient, corrector by damped Newton along the gradient.  A
-single parametrization replaces coordinate-swapped monotone patches.
-All 4n boundary nodes are traced in lockstep on numpy arrays, one lane
-per node, so each arc is traced from both ends.  Two audits of the
-samples run on every solve: the reverse audit (both traces of an arc
-pair the nodes alike) and the separation audit (distinct components do
-not merge).  The other patch-style guarantees, the bounded extrema
-count and the slope law, are checked only by the tests:
-test_extrema_budget counts direction changes along the samples, and
-test_slope_cross_check compares the gradient at sampled points.
+rotated gradient, corrector by damped Newton along the gradient.  Each
+step is proven: the Taylor coefficients at the accepted point bound f'
+on a disc holding the step, so the level line is one graph there and
+the step cannot jump to another branch (``_trace_lanes``).  All 4n
+boundary nodes are traced in lockstep on numpy arrays, one lane per
+node, so each arc is traced from both ends.  Two audits of the samples
+run on every solve: the reverse audit (both traces of an arc pair the
+nodes alike) and the separation audit (distinct components do not
+merge).  The tests also check the bounded extrema count and the slope
+law along the samples (test_extrema_budget, test_slope_cross_check).
 
 Steps and tolerances are fixed multiples of the disc radius R, or of
 max(1, R)**n for values of f (the constants below); each function
@@ -56,13 +56,12 @@ _FIELD_FOR_KIND = {P_KIND: FIELD_G, Q_KIND: FIELD_H}
 MAX_STEP = 1 / 64
 FIRST_STEP = 1 / 512
 MIN_STEP = 1e-12
-POS_TOL = 1e-9  # corrector stop; mid-chord audit slack
+POS_TOL = 1e-9  # corrector stop
 MERGE_TOL = 1e-6  # separation audit: closest allowed approach
 BOUNDARY_MARGIN = 1e-3  # landing band inside the circle
 # Field-value tolerances, times max(1, R)**n
 ON_CURVE_TOL = 1e-8
 OTHER_FLOOR = 1e-4  # separation audit: the other field counts as zero
-TURN_CAP = 0.05  # largest tangent turn per step, in radians
 MAX_STEPS = 500_000  # step budget of one lockstep trace
 
 
@@ -231,31 +230,67 @@ def _snap_to_node(nodes, kind, x, y):
     return best
 
 
-# h grows after a quick corrector (1-2 Newton iterations), shrinks after
-# a slow one (4-5); indexed by the iteration count
-_STEP_FACTOR = (1.0, 1.25, 1.25, 1.0, 0.7, 0.7)
+# the step after an accepted point is _REACH times the radius the largest
+# term of its certificate allows alone, and at most _CAP * MAX_STEP * R
+# (so that a chord a little longer than the step passes)
+_REACH, _CAP = 0.7, 0.95
 # steps per block of the lockstep tracer's sample history
 _BLOCK = 256
-# step refinement for lanes whose two traces of one arc disagree
-_REFINE = 4.0
 
 
-def _trace_lanes(prob, nodes, starts, refine=1.0):
+def _floor_matrix(kernel):
+    """K |C(m + k, k) a_(m+k)|, k = 1..n, K = gamma_(20n+20), from the
+    kernel's matrix.  Times the kernel's |fl(z^m)| it gives F_1..F_n,
+    each within gamma_(4n+8) of K M_k, M_k = sum_j C(j, k) |a_j|
+    |z|^(j-k) (entries gamma_4, powers gamma_(3n+2), product gamma_(n+1)).
+
+    The step test is S^ <= fl(fl(|b^_1| - F_1) / sqrt 2), S^ the
+    computed sum over k >= 2 of k (|b^_k| + F_k) r^(k-1).  It rounds
+    each term at most 4n times (abs, sum, k, the chord and its powers,
+    product), the sum n - 2 more and the right side 4 times, so a
+    passing test gives sum_(k>=2) k (|b^_k| + F_k) r^(k-1) <= (|b^_1| -
+    F_1) / sqrt 2 + gamma_(5n+6) |b^_1|.  As |b^_k - b_k| <=
+    gamma_(6n+5) M_k (JetKernel) and |b^_1| <= 1.1 M_1, F_k covers both
+    errors: sum_(k>=2) k |b_k| r^(k-1) < |b_1| / sqrt 2 for the exact
+    b_k (M_1 > 0, barring underflow).  The floor of the test is at
+    least sum_k k F_k r^(k-1) / sqrt 2, about K M'(|z| + r) / sqrt 2
+    for M'(x) = sum_j j |a_j| x^(j-1).
+    """
+    m = 20 * len(kernel.matrix) * 2.0 ** -53
+    return m / (1.0 - m) * np.abs(kernel.matrix[1:])
+
+
+def _trace_lanes(prob, nodes, starts):
     """Trace the curves from every node of ``starts`` at once, in lockstep.
 
     Lane k starts at starts[k] and traces g (P-node) or h (Q-node); its
-    state (position, unit tangent, |f'|, |f''|, step h, entered and
-    active flags) lives in arrays, so every check of the scalar
-    predictor-corrector runs once per step for all lanes.  Lanes stay
-    resident after they land: masks, not compaction, select the lanes a
-    result applies to, because the cost of a step is its number of numpy
-    calls, not its number of lanes.  Returns (ends, samples): the
-    snapped end node of each lane, and samples(k), the (m, 2) points of
-    lane k from its start node to its landing point.
-    ``refine`` divides the largest and the first step.
+    state (position z, unit tangent, step h, the step certificate at z,
+    entered and active flags) lives in arrays, so every check of the
+    scalar predictor-corrector runs once per step for all lanes.  Lanes
+    stay resident after they land: masks, not compaction, select the
+    lanes a result applies to, because the cost of a step is its number
+    of numpy calls, not its number of lanes.
+
+    A step predicts z + h t, corrects by damped Newton along the
+    gradient, and accepts the corrected point u only when it is on the
+    curve, its chord r = |u - z| is at most MAX_STEP * R, and the Taylor
+    coefficients b_k of the traced c f at z (c = 1 or -i) prove
+    sum_(k>=2) k |b_k| r^(k-1) + floor <= |b_1| / sqrt 2, the floor
+    bounding the rounding of the b_k and of the test (_floor_matrix).
+    Then |f'(w) - f'(z)| < |f'(z)| / sqrt 2 on the disc |w - z| <= r,
+    so f' stays within 45 degrees of f'(z): the field is strictly
+    monotone along every normal of the tangent at z, its level line is
+    one graph over that tangent in the disc, and u lies on z's branch.
+    A failed test halves h; an accepted one sets h from the certificate
+    at u (_REACH, _CAP).
+
+    Returns (ends, samples): the snapped end node of each lane, and
+    samples(k), the (m, 2) points of lane k from its start node to its
+    landing point.
     """
     R = nodes.R
-    max_step = R * MAX_STEP / refine
+    n = prob.base.degree
+    max_step = R * MAX_STEP
     min_step = R * MIN_STEP
     pos_tol = R * POS_TOL
     margin = R * BOUNDARY_MARGIN
@@ -264,11 +299,12 @@ def _trace_lanes(prob, nodes, starts, refine=1.0):
     # gradient is conj(c f'), so -val / (c f') is the Newton step
     # -val * grad / |grad|^2 and i conj(c f') / |f'| the unit tangent.
     c = np.array([1.0 if nd.kind == P_KIND else -1j for nd in starts])
-    step_factor = np.array(_STEP_FACTOR)
     shifted = prob.shifted()
-    newton_jet = JetKernel(shifted, L, c)
-    check_jet = JetKernel(shifted, 2 * L, np.concatenate((c, c)))
-    start_z, t, adf4, ad2f = (
+    kernel = JetKernel(shifted, L, c)
+    floor = _floor_matrix(kernel)
+    weights = np.arange(2.0, n + 1.0)[:, None]  # k, for k = 2..n
+    exponents = 1.0 / (weights - 1.0)  # 1 / (k - 1)
+    start_z, t = (
         np.array(col) for col in zip(*(_start(prob, nd, R) for nd in starts)))
     near_circle = R - margin
     inside = R - 2.0 * margin
@@ -276,70 +312,71 @@ def _trace_lanes(prob, nodes, starts, refine=1.0):
     def floats(*shape):
         return np.empty(shape or (L,))
 
-    heff, halfh, reach, nrm, fac, dist, rr, cos, sgrad = (
-        floats() for _ in range(9))
+    halfh, nrm, fac, rr, cos, sgrad, reach = (floats() for _ in range(7))
     pred, dz, diff, tn = (np.empty(L, dtype=complex) for _ in range(4))
     tn_imag = tn.imag
-    pending, good, flag, rej = (np.empty(L, dtype=bool) for _ in range(4))
-    iters = np.empty(L, dtype=np.intp)
+    pending, flag, rej = (np.empty(L, dtype=bool) for _ in range(3))
     # views are taken once: the loop below is bound by its numpy calls
-    val, der = newton_jet.out[0].real, newton_jet.out[1]
-    jet = check_jet.out
-    val2, der2, der_u, d2_u = jet[0].real, jet[1], jet[1, :L], jet[2, :L]
-    # pts holds the corrected points u, then the chord midpoints
-    pts = np.empty(2 * L, dtype=complex)
-    u, mid = pts[:L], pts[L:]
-    grad = floats(2 * L)
-    grad_u, grad_mid = grad[:L], grad[L:]
-    # the accept tests, one row each, pass where test <= limit: on-curve
-    # value, mid-chord distance to the curve, chord, and -cos(turn); the
-    # last row of ``passed`` says the corrector converged
-    test = floats(4, L)
-    absval = test[:2].reshape(2 * L)
-    _, mid_dist, chord, neg_cos = test
-    limit = floats(4, L)
+    val, der = kernel.out[0].real, kernel.out[1]
+    u = np.empty(L, dtype=complex)
+    # |b_1|, ..., |b_n| and F_1, ..., F_n at u (_floor_matrix); the
+    # certificate at u and at z, each as the row (|b_1| - F_1) / sqrt 2
+    # over the rows k (|b_k| + F_k), k = 2..n; powers of the chord r^1,
+    # ..., r^(n-1), and the terms of the test sum
+    mags, floors, cert_u, cert_z = (floats(n, L) for _ in range(4))
+    pw_abs = floats(n + 1, L)
+    limit_u, terms_u = cert_u[0], cert_u[1:]
+    limit_z, terms_z = cert_z[0], cert_z[1:]
+    chord_pow, ratio, cert_terms = (floats(n - 1, L) for _ in range(3))
+    # one row of ``passed`` per accept test: on-curve value and chord
+    # (test <= limit), certificate sum (<= limit_z), corrector converged
+    test = floats(3, L)
+    absval, chord, cert_sum = test
+    limit = floats(2, L)
     limit[0] = ON_CURVE_TOL * _value_scale(prob, R)
-    limit[2] = max_step
-    limit[3] = -math.cos(TURN_CAP)
-    mid_limit = limit[1]
-    passed = np.empty((5, L), dtype=bool)
-    tests_passed, mid_passed, converged = passed[:4], passed[1], passed[4]
+    limit[1] = max_step
+    passed = np.empty((4, L), dtype=bool)
     ok = np.empty(L, dtype=bool)
     # every step's corrected points and accept mask, in blocks of rows
     hist_z, hist_ok, row = [], [], _BLOCK
     ends = [None] * L
     landing = np.zeros(L, dtype=complex)
 
+    def certify(points):
+        # b_0..b_n at ``points`` into the kernel's rows, the certificate
+        # into cert_u (the kernel's powers of the points give the floor),
+        # and into reach the radius its largest term allows on its own
+        np.abs(kernel(points)[1:], out=mags)
+        np.abs(kernel.powers, out=pw_abs)
+        np.matmul(floor, pw_abs, out=floors)
+        np.subtract(mags[0], floors[0], out=limit_u)
+        np.multiply(limit_u, math.sqrt(0.5), out=limit_u)
+        np.add(mags[1:], floors[1:], out=terms_u)
+        np.multiply(terms_u, weights, out=terms_u)
+        np.divide(limit_u, terms_u, out=ratio)
+        np.power(ratio, exponents, out=ratio)
+        np.fmin.reduce(ratio, axis=0, out=reach, initial=np.inf)
+
     with np.errstate(all="ignore"):
         z = start_z.copy()
-        h = np.full(L, R * FIRST_STEP / refine)
+        certify(z)
+        np.copyto(cert_z, cert_u)
+        h = np.minimum(R * FIRST_STEP, _REACH * reach)
         entered = np.zeros(L, dtype=bool)
         active = np.ones(L, dtype=bool)
 
         for _ in range(MAX_STEPS):
-            # conformal feature scale |f'| / |f''| caps the step: level-
-            # curve branches only crowd together around critical points,
-            # and there this ratio collapses, forcing steps finer than the
-            # branch gap (f'' = 0 gives inf or nan, which fmin ignores)
-            np.divide(adf4, ad2f, out=heff)
-            np.fmin(heff, h, out=heff)
-            np.maximum(heff, min_step, out=heff)
-            np.multiply(heff, 0.5, out=halfh)
-            np.multiply(heff, 0.75, out=reach)
-            np.multiply(t, heff, out=pred)
+            np.multiply(h, 0.5, out=halfh)
+            np.multiply(t, h, out=pred)
             pred += z
 
             # damped Newton along the gradient, at most 5 iterations: a
-            # lane stays ``pending`` until it converges or wanders off
-            # (then it is no longer ``good``); iters counts its iterations
+            # lane stays ``pending`` until it converges (a zero gradient
+            # makes u non-finite, failing the tests)
             np.copyto(u, pred)
-            np.copyto(good, active)
             np.copyto(pending, active)
-            np.copyto(iters, pending)
-            for it in range(5):
-                if it:
-                    iters += pending
-                newton_jet(u, 2)
+            for _ in range(5):
+                kernel(u, 2)
                 np.divide(val, der, out=dz)
                 np.abs(dz, out=nrm)
                 # single damping: a full step would leave the trust region
@@ -347,42 +384,24 @@ def _trace_lanes(prob, nodes, starts, refine=1.0):
                 np.divide(halfh, fac, out=fac)
                 dz *= fac
                 np.subtract(u, dz, out=u, where=pending)
-                if it:
-                    # corrector wandered: risk of branch jumping (a damped
-                    # step is at most h/2, so the first cannot wander; a
-                    # zero gradient makes u non-finite, failing the tests)
-                    np.subtract(u, pred, out=diff)
-                    np.abs(diff, out=dist)
-                    np.less_equal(dist, reach, out=flag)
-                    good &= flag
-                    pending &= flag
                 np.greater(nrm, pos_tol, out=flag)
                 pending &= flag
                 if not np.count_nonzero(pending):
                     break
-            np.greater(good, pending, out=converged)
+            np.greater(active, pending, out=passed[3])
 
-            # one jet at the corrected points and the chord midpoints
-            np.add(z, u, out=mid)
-            mid *= 0.5
-            check_jet(pts)
-            np.abs(der2, out=grad)
-            np.abs(val2, out=absval)
-            # mid-chord audit: the chord of a genuine curve segment stays
-            # close to the curve; a branch jump does not
-            mid_dist /= grad_mid
+            # the Taylor coefficients at u give its value and tangent, and
+            # the certificate the next step from u needs
+            certify(u)
+            np.abs(val, out=absval)
             np.subtract(u, z, out=diff)
             np.abs(diff, out=chord)
-            np.multiply(chord, 0.15, out=mid_limit)
-            mid_limit += 2.0 * pos_tol
-            # turn cap: cos(turn) = Re(tangent * conj(t)) = Im(c f' t) / |f'|
-            # (a zero gradient makes it nan, which fails)
-            np.multiply(der_u, t, out=tn)
-            np.divide(tn_imag, grad_u, out=cos)
-            np.abs(cos, out=neg_cos)
-            np.negative(neg_cos, out=neg_cos)
-            np.less_equal(test, limit, out=tests_passed)
-            mid_passed |= grad_mid == 0.0
+            chord_pow[...] = chord
+            np.multiply.accumulate(chord_pow, axis=0, out=chord_pow)
+            np.multiply(chord_pow, terms_z, out=cert_terms)
+            np.sum(cert_terms, axis=0, out=cert_sum)
+            np.less_equal(test[:2], limit, out=passed[:2])
+            np.less_equal(cert_sum, limit_z, out=passed[2])
             np.logical_and.reduce(passed, axis=0, out=ok)
 
             np.greater(active, ok, out=rej)
@@ -400,19 +419,20 @@ def _trace_lanes(prob, nodes, starts, refine=1.0):
             np.greater_equal(rr, near_circle, out=flag, where=flag)
             if np.count_nonzero(flag):
                 for k in np.flatnonzero(flag):
-                    hit = _land(prob, nodes, starts[k], u[k], heff[k])
+                    hit = _land(prob, nodes, starts[k], u[k], h[k])
                     if hit is not None:
                         landing[k], ends[k] = hit
                         active[k] = ok[k] = False
 
             np.copyto(z, u, where=ok)
+            np.copyto(cert_z, cert_u, where=ok)
             # the new unit tangent, oriented along the previous one
-            np.copysign(grad_u, cos, out=sgrad)
-            np.conjugate(der_u, out=tn)
+            np.multiply(der, t, out=tn)
+            np.divide(tn_imag, mags[0], out=cos)
+            np.copysign(mags[0], cos, out=sgrad)
+            np.conjugate(der, out=tn)
             tn *= 1j
             np.divide(tn, sgrad, out=t, where=ok)
-            np.multiply(grad_u, 0.25, out=adf4, where=ok)
-            np.abs(d2_u, out=ad2f, where=ok)
             if row == _BLOCK:
                 hist_z.append(np.empty((_BLOCK, L), dtype=complex))
                 hist_ok.append(np.zeros((_BLOCK, L), dtype=bool))
@@ -421,9 +441,9 @@ def _trace_lanes(prob, nodes, starts, refine=1.0):
             hist_ok[-1][row] = ok
             row += 1
             np.logical_or(entered, rr < inside, out=entered, where=ok)
-            # h stays within [min_step, 0.8 max_step]
-            np.multiply(h, step_factor[iters], out=h, where=ok)
-            np.minimum(h, 0.8 * max_step, out=h)
+            # h stays within [min_step, _CAP * max_step]
+            np.multiply(reach, _REACH, out=h, where=ok)
+            np.minimum(h, _CAP * max_step, out=h)
             np.maximum(h, min_step, out=h)
             if not np.count_nonzero(active):
                 break
@@ -442,9 +462,9 @@ def _trace_lanes(prob, nodes, starts, refine=1.0):
 
 
 def _start(prob, node, R):
-    # Position, inward unit tangent, |f'| / 4 and |f''| at a start node.
+    # Position and inward unit tangent at a start node.
     z = complex(R * math.cos(node.angle), R * math.sin(node.angle))
-    _, df, d2f = eval_jet(prob.base, z)
+    df = eval_jet(prob.base, z)[1]
     gn = abs(df)
     if gn == 0.0:
         raise StepUnderflow("vanishing gradient at the start node")
@@ -452,11 +472,11 @@ def _start(prob, node, R):
     t = 1j * cdf.conjugate() / gn
     if (t * z.conjugate()).real > 0.0:  # point into the disc
         t = -t
-    return z, t, 0.25 * gn, abs(d2f)
+    return z, t
 
 
-def _land(prob, nodes, start, u, heff):
-    # A lane that started at ``start`` accepted u near the circle: refine
+def _land(prob, nodes, start, u, step):
+    # A lane that started at ``start`` accepted u near the circle: Newton
     # onto |z| = R.  A landing within reach of u replaces u, so every
     # sample stays inside the closed disc; returns it with its snapped
     # node, or None to keep tracing.
@@ -464,7 +484,7 @@ def _land(prob, nodes, start, u, heff):
     cand = _land_on_circle(prob, _FIELD_FOR_KIND[start.kind], u.real, u.imag,
                            R)
     if cand is None or math.hypot(cand[0] - u.real, cand[1] - u.imag) > \
-            4.0 * max(heff, R * BOUNDARY_MARGIN):
+            4.0 * max(step, R * BOUNDARY_MARGIN):
         return None
     end = _snap_to_node(nodes, start.kind, *cand)
     if end.index == start.index:
@@ -479,14 +499,14 @@ def trace_curve(prob, field, start, nodes):
 
     Unit tangent is the 90-degree rotation of the gradient, signed to
     point into the disc at the start and to preserve orientation after
-    that.  The predictor step adapts between MIN_STEP * R and
-    MAX_STEP * R; each predicted point is corrected back onto the curve by damped
-    Newton (at most 5 iterations, else the step halves).  Tracing ends
-    when the boundary is reached again; the landing is refined onto
-    |z| = R and snapped to the nearest node of the same kind.  This is
-    the one-lane case of the lockstep tracer behind compute_matchings;
-    the pipeline does not call it.  It is kept for library users and for
-    the benchmark's probes, which count its calls and samples.
+    that.  Each step, at most MAX_STEP * R, is corrected back onto the
+    curve by damped Newton and proven by the step certificate, else it
+    halves (``_trace_lanes``).  Tracing ends when the boundary is
+    reached again; the landing is moved onto |z| = R by Newton and
+    snapped to the nearest node of the same kind.  This is the one-lane
+    case of the lockstep tracer behind compute_matchings; the pipeline
+    does not call it.  It is kept for library users and for the
+    benchmark's probes, which count its calls and samples.
     """
     if _KIND_FOR_FIELD[field] != start.kind:
         raise ValueError(f"field {field!r} cannot start at a {start.kind}-node")
@@ -588,28 +608,14 @@ def separation_audit(arcs, prob, R):
                     f"({mid[0]:.6g}, {mid[1]:.6g})")
 
 
-def _disputed(ends, count):
-    # Lanes come in families of ``count``, lane base + i starting at node
-    # i.  A lane whose end node's lane does not come back to it disputes
-    # that arc: one of the two traces jumped branches.  Returns both.
-    out = set()
-    for k, end in enumerate(ends):
-        base = k - k % count
-        back = base + end.index
-        if ends[back].index != k - base:
-            out.update((k, back))
-    return sorted(out)
-
-
 def compute_matchings(prob, ns):
     """Trace every component of both families inside the disc.
 
     Returns (matchP, matchQ, arcs) with exactly n P-arcs and n Q-arcs.
     All 4n boundary nodes are traced at once, so every arc is traced
     from both of its ends; the two traces must agree (the reverse audit)
-    and the one from the lower node index is kept.  Lanes that disagree
-    are traced once more with steps _REFINE times finer before the audit
-    decides.  The separation audit runs before returning.
+    and the one from the lower node index is kept.  The separation audit
+    runs before returning.
     """
     match_p, match_q, arcs = _audited_arcs(prob, ns)
     separation_audit(arcs, prob, ns.R)
@@ -623,14 +629,6 @@ def _audited_arcs(prob, ns):
     starts = ns.of_kind(P_KIND) + ns.of_kind(Q_KIND)
     count = len(starts) // 2
     ends, samples = _trace_lanes(prob, ns, starts)
-    lanes = [(samples, k) for k in range(len(starts))]
-    disputed = _disputed(ends, count)
-    if disputed:
-        again_ends, again = _trace_lanes(
-            prob, ns, [starts[k] for k in disputed], _REFINE)
-        for j, k in enumerate(disputed):
-            ends[k] = again_ends[j]
-            lanes[k] = (again, j)
     matchings, arcs = [], []
     for offset in (0, count):
         kind = starts[offset].kind
@@ -638,8 +636,8 @@ def _audited_arcs(prob, ns):
             kind, [nd.index for nd in ends[offset:offset + count]])
         matchings.append(match)
         for i, _ in match.arcs():
-            samples, j = lanes[offset + i]
-            arcs.append(Arc(field=_FIELD_FOR_KIND[kind], samples=samples(j),
+            arcs.append(Arc(field=_FIELD_FOR_KIND[kind],
+                            samples=samples(offset + i),
                             start_node=starts[offset + i],
                             end_node=ends[offset + i]))
     return matchings[0], matchings[1], arcs

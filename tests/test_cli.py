@@ -111,6 +111,9 @@ class TestGaussMethod:
         (root,) = report["roots"]
         assert min(abs(complex(root["re"], root["im"]) - 1j),
                    abs(complex(root["re"], root["im"]) + 1j)) <= 1e-8
+        # which bound the residual meets, and the floor at the root
+        assert root["stop"] == "tol" and root["residual"] <= 1e-9
+        assert 0.0 < root["floor"] < 1e-14
         assert report["R"] > 0
         assert len(report["eps"]) == 2
         svg = svg_path.read_text()

@@ -32,7 +32,7 @@ from openroots.errors import (
     DegenerateConstant,
     RootFindError,
 )
-from openroots.polycore import eval_jet, eval_with_derivative
+from openroots.polycore import eval_jet, eval_with_derivative, rounding_floor
 
 
 def ref_synthetic_div(coeffs, v):
@@ -351,7 +351,7 @@ class TestHalvingBound:
         phase = cmath.exp(1j * rep.psi)
         betas, hs, a, x = self._terms(p, v, rep)
         g = (4 * n + 8) * 2.0 ** -53
-        floor2 = 2.0 * descent.rounding_floor(p, x)
+        floor2 = 2.0 * rounding_floor(p, x)
         for k, (beta, low) in enumerate(descent._halvings(p, v, rep)):
             h = hs[k]
             assert beta == betas[k]

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -382,11 +383,77 @@ CORPUS_CASES = {
 
 @pytest.mark.parametrize("name", sorted(CORPUS_CASES))
 def test_corpus_case_root_confirmed_by_numpy(name):
+    # the contract: a root within tol, or within the rounding floor
     coeffs = [complex(re, im) for re, im in CORPUS_CASES[name]]
     report = run_pipeline(Poly(coeffs), 1e-9)
-    assert report.residual <= 1e-9
+    if report.stop == "tol":
+        assert report.residual <= 1e-9
+    else:
+        assert report.stop == "floor" and report.residual <= report.floor
     roots = np.roots(coeffs[::-1])
     assert np.min(np.abs(roots - report.root)) <= 1e-6
+
+
+# gauss corpus seed 0, case 21: a degree-6 polynomial times 1e8, whose
+# polish got stuck at the noise floor above tol 1e-9
+SCALE_1E8 = [
+    (-11296718.324165883, -136268239.39619407),
+    (-27641086.307259142, 156509061.53757733),
+    (-30174338.28869673, 96600822.30230024),
+    (-48543820.96378365, -6259271.21456255),
+    (14623107.216489779, 158847003.89476022),
+    (16064109.55865469, 83594792.5369672),
+    (76020882.75049658, 73208801.83757088),
+]
+
+
+def exact_residual(p, z):
+    # |p(z)| for the float coefficients and point, to 40 digits
+    with mpmath.workdps(40):
+        acc = mpmath.mpc(0)
+        for a in reversed(p.coeffs):
+            acc = acc * mpmath.mpc(z.real, z.imag) + mpmath.mpc(a.real, a.imag)
+        return abs(acc)
+
+
+class TestPolishFloor:
+    def test_stuck_polish_returns_a_floor_point(self):
+        p = Poly([complex(re, im) for re, im in SCALE_1E8])
+        report = run_pipeline(p, 1e-9)
+        assert report.stop == "floor"
+        assert 1e-9 < report.residual <= report.floor
+        assert report.floor == matcher._residual_bound(p, report.root)[2]
+        # the oracle's floor: 4 n u sum |a_i| |z|^i, here in mpmath
+        with mpmath.workdps(40):
+            x = mpmath.mpf(abs(report.root))
+            oracle = 24 * mpmath.mpf(2) ** -53 * sum(
+                mpmath.mpf(abs(a)) * x ** k for k, a in enumerate(p.coeffs))
+            assert exact_residual(p, report.root) <= oracle
+        # solve_root names the point where it got stuck
+        with pytest.raises(ConvergenceFailure, match="noise floor") as err:
+            matcher.solve_root(p, report.root, 0j, 1e-9)
+        assert err.value.point == report.root
+        assert err.value.residual == report.residual
+
+    def test_point_above_the_floor_still_raises(self, monkeypatch):
+        p = Poly([complex(re, im) for re, im in SCALE_1E8])
+        stuck = ConvergenceFailure("stuck", 0.3 + 0.3j, 1e8)
+
+        def raise_stuck(*args):
+            raise stuck
+
+        monkeypatch.setattr(matcher, "solve_root", raise_stuck)
+        with pytest.raises(ConvergenceFailure) as err:
+            matcher._polish(p, 0.3 + 0.3j, 1e-9)
+        assert err.value is stuck
+        stuck.point = None  # a failure that names no point re-raises too
+        with pytest.raises(ConvergenceFailure):
+            matcher._polish(p, 0.3 + 0.3j, 1e-9)
+
+    def test_root_within_tol_reports_tol(self):
+        report = run_pipeline(Poly([-1, 0, 0, 1]), 1e-9)
+        assert report.stop == "tol" and report.residual <= 1e-9
+        assert 0.0 < report.floor < 1e-14
 
 
 class Polyline:

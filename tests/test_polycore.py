@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_point, random_poly
+from conftest import exact_abs2, exact_taylor, random_point, random_poly
 from openroots import (
     Poly,
     critical_points,
@@ -21,6 +21,7 @@ from openroots.errors import DegreeZero
 from openroots.polycore import (
     JetKernel,
     LazyNumpy,
+    eval_bound,
     eval_jet,
     eval_with_derivative,
     rounding_floor,
@@ -98,16 +99,46 @@ class TestJetKernel:
                 for r, row in enumerate(rows)]
 
     def test_matches_eval_jet_within_floor(self):
+        # rows 0, 1 and 2 are p, p' and p'' / 2
         rng = np.random.default_rng(15)
         for n in (2, 3, 5, 8, 16, 32, 64):
             p = random_poly(rng, n, monic=bool(n % 2))
             for radius in (0.5, 1.0, annulus_radius(p)):
                 zs = radius * np.exp(1j * rng.uniform(0, 2 * np.pi, 40))
                 jets = JetKernel(p, len(zs))(zs)
+                assert jets.shape == (n + 1, len(zs))
                 floors = self.floors(p, radius)
                 for col, z in enumerate(zs):
                     for row, want in enumerate(eval_jet(p, z)):
-                        assert abs(jets[row, col] - want) <= floors[row]
+                        got = jets[row, col] * (2 if row == 2 else 1)
+                        assert abs(got - want) <= floors[row]
+
+    def test_rows_are_taylor_coefficients_within_bound(self):
+        # |b^_k - b_k| <= gamma_(6n+5) sum_j C(j, k) |a_j| |z|^(j-k),
+        # against the exact coefficients of the float inputs
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            n = int(rng.integers(1, 17))
+            p = random_poly(rng, n, scale=10.0 ** rng.uniform(-3, 3),
+                            monic=bool(rng.integers(2)))
+            zs = np.array([random_point(rng, 10.0 ** rng.uniform(-2, 1))
+                           for _ in range(3)])
+            scale = np.array([1.0, -1j, 1.0])
+            rows = JetKernel(p, 3, scale)(zs)
+            m = (6 * n + 5) * 2.0 ** -53
+            gamma = Fraction(m) / (1 - Fraction(m))
+            mags = [Fraction(abs(a)) for a in p.coeffs]
+            for col, z in enumerate(zs):
+                exact = exact_taylor(p, complex(z))
+                x = Fraction(abs(z))
+                for k in range(n + 1):
+                    er, ei = exact[k]
+                    want = (er, ei) if scale[col] == 1 else (ei, -er)
+                    bound = gamma * sum(math.comb(j, k) * mags[j] * x ** (j - k)
+                                        for j in range(k, n + 1))
+                    # |z| is itself rounded: allow it one more gamma_3
+                    assert exact_abs2(rows[k, col], want) <= \
+                        (bound * (1 + Fraction(4 * n + 4, 2 ** 53))) ** 2
 
     def test_order_and_scale(self):
         rng = np.random.default_rng(16)
@@ -122,7 +153,7 @@ class TestJetKernel:
 
     def test_linear(self):
         jets = JetKernel(Poly([2, 3]), 2)(np.array([0, 1j]))
-        assert np.array_equal(jets, [[2, 2 + 3j], [3, 3], [0, 0]])
+        assert np.array_equal(jets, [[2, 2 + 3j], [3, 3]])
 
 
 def test_lazy_numpy_rebinds_the_global_on_first_use():
@@ -185,18 +216,6 @@ class TestTaylorShift:
             assert abs(a - b) <= 1e-10 * scale
 
 
-def exact_taylor(p, v):
-    # Taylor coefficients of p at v as exact (re, im) pairs of Fractions,
-    # by the repeated synthetic division of taylor_shift
-    vr, vi = Fraction(v.real), Fraction(v.imag)
-    a = [(Fraction(c.real), Fraction(c.imag)) for c in p.coeffs]
-    for j in range(p.degree):
-        for i in range(p.degree - 1, j - 1, -1):
-            (ar, ai), (br, bi) = a[i], a[i + 1]
-            a[i] = (ar + vr * br - vi * bi, ai + vr * bi + vi * br)
-    return a
-
-
 def exact_error(c, exact):
     # |c - exact| for a float complex c, each part's difference rounded once
     return abs(complex(float(Fraction(c.real) - exact[0]),
@@ -218,6 +237,26 @@ class TestRoundingFloor:
             shifted = taylor_shift(p, v).coeffs
             assert sum(exact_error(b, e) * r ** k for k, (b, e) in
                        enumerate(zip(shifted, exact))) <= floor
+
+
+class TestEvalBound:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 16),
+           st.floats(-3, 3), st.floats(-2, 1.5))
+    def test_running_bound_covers_the_exact_error(self, seed, degree,
+                                                   scale, radius):
+        rng = np.random.default_rng(seed)
+        p = random_poly(rng, degree, scale=10.0 ** scale,
+                        monic=bool(seed % 2))
+        z = random_point(rng, 10.0 ** radius)
+        value, err, total = eval_bound(p, z)
+        assert value == eval_poly(p, z)
+        assert exact_abs2(value, exact_taylor(p, z)[0]) <= Fraction(err) ** 2
+        want = sum(abs(a) * abs(z) ** k for k, a in enumerate(p.coeffs))
+        assert total == pytest.approx(want, rel=1e-13)
+
+    def test_constant_is_exact(self):
+        assert eval_bound(Poly([2 - 1j]), 5.0) == (2 - 1j, 0.0, abs(2 - 1j))
 
 
 class TestSyntheticDiv:

@@ -9,11 +9,31 @@ TOOLS = Path(__file__).resolve().parent.parent / "tools"
 ROOT = TOOLS.parent
 
 
-def _row(seed, error):
-    return {"seed": seed, "index": 0, "family": "random", "degree": 3,
+def _row(seed, error, index=0):
+    return {"seed": seed, "index": index, "family": "random", "degree": 3,
             "method": "descent", "kind": "FAILED", "reason": error,
             "stage": None, "error": error, "roots": [], "solve_s": 0.001,
             "stages": None, "R": None}
+
+
+def _ok(seed, index=0):
+    return dict(_row(seed, "", index), kind="ok", reason="", error=None,
+                roots=[[1.0, 0.0]])
+
+
+def test_diff_names_the_seeds_that_fail_more():
+    sys.path.insert(0, str(TOOLS))
+    import outcomes
+
+    # seed 0: one failure on both sides, but a different case; seed 1:
+    # one more failure; seed 2: one fewer
+    old = [_row(0, "e", 0), _ok(0, 1), _ok(1, 0), _ok(1, 1),
+           _row(2, "e", 0), _row(2, "e", 1)]
+    new = [_ok(0, 0), _row(0, "e", 1), _row(1, "e", 0), _ok(1, 1),
+           _row(2, "e", 0), _ok(2, 1)]
+    lines = outcomes.diff(old, new)
+    assert lines[-1] == "worse seeds: 1: 1 (0 -> 1)"
+    assert outcomes.diff(old, old)[-1] == "worse seeds: 0"
 
 
 def test_diff_into_closed_pipe_is_quiet(tmp_path):

@@ -1,11 +1,14 @@
 import math
 import random
-from types import SimpleNamespace
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import random_poly
+from conftest import exact_abs2, exact_taylor, random_point, random_poly
 from openroots import (
     Poly,
     boundary_nodes,
@@ -21,11 +24,11 @@ from openroots.errors import (
     MatchingInconsistency,
     StepUnderflow,
 )
+from openroots.polycore import JetKernel
 from openroots.tracer import (
     Matching,
     PerturbedProblem,
     _close_pairs,
-    _disputed,
     _field_eval,
     _trace_lanes,
     reverse_audit,
@@ -103,17 +106,21 @@ class TestTraceCurve:
         with pytest.raises(ValueError):
             trace_curve(prob, "h", ns.of_kind("P")[0], ns)
 
-    def test_singular_square_runs_straight_through(self):
+    def test_singular_square_stops_before_the_critical_point(self):
         # unperturbed z^2: the exact level set is the pair of lines
-        # y = +-x, so each trace passes the origin and reaches the
-        # diametrically opposite node
+        # y = +-x, crossing at the critical point 0, where no disc keeps
+        # f' within 45 degrees of its value at the centre; the step
+        # certificate shrinks towards 0 and the trace stops there
         p = Poly([0, 0, 1])
         prob = PerturbedProblem(p.monic(), 0.0, 0.0)
         ns = boundary_nodes(p, 1.0)
         for start in ns.of_kind("P"):
-            arc = trace_curve(prob, "g", start, ns)
-            assert arc.end_node.index == (start.index + 2) % 4
-            assert max(line_distance(x, y) for x, y in arc.samples) <= 1e-6
+            with pytest.raises(StepUnderflow, match="step underflow at") \
+                    as err:
+                trace_curve(prob, "g", start, ns)
+            x, y = (float(v) for v in
+                    str(err.value).split("(")[1].split(")")[0].split(","))
+            assert math.hypot(x, y) <= 1e-9
 
     def test_perturbed_square_hugs_lines(self):
         # with the forced eps the level set is a thin hyperbola pair
@@ -292,68 +299,136 @@ class TestLockstep:
 
 class TestDisputedLanes:
     @staticmethod
-    def nodes(*indices):
-        return [SimpleNamespace(index=i) for i in indices]
-
-    def test_agreeing_lanes(self):
-        assert _disputed(self.nodes(1, 0, 3, 2, 2, 3, 0, 1), 4) == []
-
-    def test_disagreeing_lanes_and_their_ends(self):
-        # P-lane 0 claims node 2, whose lane says 3: lanes 0, 2 and the
-        # lane of node 1, which still claims 0, are disputed; the Q
-        # family (lanes 4..7) is fine
-        ends = self.nodes(2, 0, 3, 2, 3, 2, 1, 0)
-        assert _disputed(ends, 4) == [0, 1, 2]
-
-    @staticmethod
-    def faulty_first_trace(monkeypatch, faults):
-        # _trace_lanes whose first ``faults`` calls send P-lane 0 to the
-        # wrong node; returns the log of (start indices, refine) per call
+    def faulty_first_trace(monkeypatch):
+        # _trace_lanes that sends P-lane 0 to the wrong node; returns the
+        # log of the start indices per call
         calls, real = [], tracer._trace_lanes
 
-        def traced(prob, nodes, starts, refine=1.0):
-            ends, samples = real(prob, nodes, starts, refine)
-            calls.append(([nd.index for nd in starts], refine))
-            if len(calls) <= faults and starts[0].index == 0:
-                family = nodes.of_kind("P")
-                wrong = next(nd for nd in family
-                             if nd.index not in (0, ends[0].index))
-                ends[0] = wrong
+        def traced(prob, nodes, starts):
+            ends, samples = real(prob, nodes, starts)
+            calls.append([nd.index for nd in starts])
+            family = nodes.of_kind("P")
+            ends[0] = next(nd for nd in family
+                           if nd.index not in (0, ends[0].index))
             return ends, samples
 
         monkeypatch.setattr(tracer, "_trace_lanes", traced)
         return calls
 
-    def test_disputed_lanes_traced_again_finer(self, monkeypatch):
-        prob = perturb_regular(Poly([-1, 0, 0, 1]))
-        ns = locate_boundary_nodes(prob.shifted())
-        want_p, want_q, want_arcs = compute_matchings(prob, ns)
-        calls = self.faulty_first_trace(monkeypatch, 1)
-        mp, mq, arcs = compute_matchings(prob, ns)
-        assert (mp, mq) == (want_p, want_q)
-        assert [a.end_node for a in arcs] == [a.end_node for a in want_arcs]
-        assert len(calls) == 2
-        # lane 0, the lane of its true partner, and the lane of the node
-        # it wrongly claimed (the lowest other one)
-        assert calls[0][1] == 1.0
-        lanes, refine = calls[1]
-        partner = want_p.pairs[0]
-        wrong = min(set(range(6)) - {0, partner})
-        assert lanes == sorted({0, partner, wrong})
-        assert refine == 4
-        # the kept arc of lane 0 is its retrace: the first and the largest
-        # step are a quarter of the defaults
-        assert arcs[0].start_node.index == 0
-        steps = np.linalg.norm(np.diff(arcs[0].samples, axis=0), axis=1)
-        assert steps[0] == pytest.approx(tracer.FIRST_STEP * ns.R / 4, rel=1e-6)
-        assert steps.max() <= tracer.MAX_STEP * ns.R / 4 * (1 + 1e-9)
-
     def test_dispute_that_persists_fails_the_audit(self, monkeypatch):
+        # the two traces of an arc disagree: the audit fails at once,
+        # with no second trace
         prob = perturb_regular(Poly([-1, 0, 0, 1]))
         ns = locate_boundary_nodes(prob.shifted())
-        self.faulty_first_trace(monkeypatch, 2)
+        calls = self.faulty_first_trace(monkeypatch)
         with pytest.raises(MatchingInconsistency, match="reverse audit"):
             compute_matchings(prob, ns)
+        assert len(calls) == 1
+
+
+def certificate(p, z):
+    """The step certificate at z, formed as _trace_lanes forms it:
+    (limit, terms), the test at chord r being sum_k terms[k] r^(k+1) <=
+    limit."""
+    kernel = JetKernel(p, 1)
+    mags = np.abs(kernel(np.array([z]))[1:, 0])
+    floors = tracer._floor_matrix(kernel) @ np.abs(kernel.powers[:, 0])
+    limit = (mags[0] - floors[0]) * math.sqrt(0.5)
+    terms = (mags[1:] + floors[1:]) * np.arange(2.0, p.degree + 1.0)
+    return limit, terms
+
+
+def certified(cert, r):
+    limit, terms = cert
+    return float(np.sum(terms * np.cumprod(np.full(len(terms), r)))) <= limit
+
+
+def largest_certified(cert):
+    # the test passes on an interval [0, r*]: bisect for r*
+    lo, hi = 0.0, 1.0
+    while certified(cert, hi) and hi < 1e300:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if certified(cert, mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def f_prime_turn(p, z, r, points=64):
+    """max |f'(w) - f'(z)| / |f'(z)| over w = z + r e^(i t) at ``points``
+    angles, in mpmath at 40 digits; the maximum over the disc is on its
+    circle."""
+    with mpmath.workdps(40):
+        coeffs = [mpmath.mpc(a.real, a.imag) for a in p.coeffs]
+
+        def dp(w):
+            acc = mpmath.mpc(0)
+            for k in range(len(coeffs) - 1, 0, -1):
+                acc = acc * w + k * coeffs[k]
+            return acc
+
+        zc = mpmath.mpc(z.real, z.imag)
+        d0 = dp(zc)
+        worst = max(abs(dp(zc + r * mpmath.expjpi(2 * mpmath.mpf(j) / points))
+                        - d0) for j in range(points))
+        return float(worst / abs(d0))
+
+
+class TestStepCertificate:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 16),
+           st.floats(-3, 3), st.floats(0, 1))
+    def test_certified_disc_keeps_f_prime_within_45_degrees(
+            self, seed, degree, scale, where):
+        rng = np.random.default_rng(seed)
+        p = random_poly(rng, degree, scale=10.0 ** scale)
+        # a point out to twice the largest root modulus
+        radius = 2.0 * max(1e-3, max(abs(a) ** (1.0 / (degree - k))
+                                     for k, a in enumerate(p.coeffs[:-1])))
+        z = random_point(rng, radius * where)
+        cert = certificate(p, z)
+        assume(cert[0] > 0)
+        r = largest_certified(cert)
+        assume(r > 0)
+        assert f_prime_turn(p, z, r) < math.sqrt(0.5)
+
+    def test_floor_covers_the_kernel_rounding(self):
+        # F_k >= |b^_k - b_k| for every k >= 1, exactly: so the floor,
+        # sum_k k F_k r^(k-1), covers sum_k k |b^_k - b_k| r^(k-1) and
+        # sum_k |b^_k - b_k| r^k <= r sum_k F_k r^(k-1) for every r
+        rng = np.random.default_rng(91)
+        for _ in range(40):
+            n = int(rng.integers(1, 17))
+            p = random_poly(rng, n, scale=10.0 ** rng.uniform(-3, 3))
+            z = random_point(rng, 10.0 ** rng.uniform(-2, 1))
+            for c in (1.0, -1j):
+                kernel = JetKernel(p, 1, np.array([c]))
+                got = kernel(np.array([z]))[:, 0]
+                floors = tracer._floor_matrix(kernel) @ \
+                    np.abs(kernel.powers[:, 0])
+                for k, (er, ei) in enumerate(exact_taylor(p, z)[1:], 1):
+                    want = (er, ei) if c == 1.0 else (ei, -er)
+                    assert exact_abs2(got[k], want) <= \
+                        Fraction(floors[k - 1]) ** 2
+
+    def test_traced_steps_are_certified(self):
+        # every traced step but the landing lies in a disc about its
+        # start where f' stays within 45 degrees of its value there
+        rng = np.random.default_rng(92)
+        prob = perturb_regular(random_poly(rng, 7))
+        ns = locate_boundary_nodes(prob.shifted())
+        _, _, arcs = compute_matchings(prob, ns)
+        shifted = prob.shifted()
+        for arc in arcs:
+            pts = arc.samples[:-1, 0] + 1j * arc.samples[:-1, 1]
+            for k in rng.choice(len(pts) - 1, size=8):
+                z, u = complex(pts[k]), complex(pts[k + 1])
+                assert certified(certificate(shifted, z), abs(u - z))
+                assert f_prime_turn(shifted, z, abs(u - z), 16) < \
+                    math.sqrt(0.5)
 
 
 class TestMatchingValidate:

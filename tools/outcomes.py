@@ -17,10 +17,11 @@ the annulus stage).
 The second form prints the failed count of each seed on both sides, every
 case whose kind changed, the count of cases whose R changed, the count of
 cases ok on both sides whose roots differ and how many of those kept
-their R, every case failed on both sides whose error text differs, and the
-median solve time per method and degree on both sides.  The package is
-imported from the ``src/`` next to this script; copy the script into
-another checkout to record that checkout.
+their R, every case failed on both sides whose error text differs, the
+median solve time per method and degree on both sides, and last a line
+``worse seeds: N`` naming each seed where NEW fails more cases than OLD.
+The package is imported from the ``src/`` next to this script; copy the
+script into another checkout to record that checkout.
 """
 
 import argparse
@@ -129,11 +130,13 @@ def diff(old, new):
     after = {key(r): r for r in new}
     if before.keys() != after.keys():
         raise SystemExit("the two records cover different cases")
-    lines = ["seed  failed before  after"]
+    lines, worse = ["seed  failed before  after"], []
     for seed in sorted({k[0] for k in before}):
         a, b = (sum(_failed(r) for k, r in side.items() if k[0] == seed)
                 for side in (before, after))
         lines.append(f"{seed:4d}  {a:13d}  {b:5d}")
+        if b > a:
+            worse.append(f"{seed} ({a} -> {b})")
     a, b = (sum(map(_failed, side.values())) for side in (before, after))
     lines.append(f"all   {a:13d}  {b:5d}")
     flips = [k for k in sorted(before)
@@ -173,6 +176,8 @@ def diff(old, new):
         ma, mb = statistics.median(a), statistics.median(b)
         lines.append(f"{method:7s}  {degree:6d}  {len(a):5d}  {ma:8.5f}  "
                      f"{mb:8.5f}  {mb / ma:5.3f}")
+    lines.append(f"worse seeds: {len(worse)}"
+                 + (f": {', '.join(worse)}" if worse else ""))
     return lines
 
 
