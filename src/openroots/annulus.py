@@ -1,4 +1,4 @@
-"""Boundary structure on the large circle |z| = R, proven by Rouché.
+"""Boundary structure on a circle |z| = R, proven by Rouché.
 
 For q = f monic of degree n, let d = sum_{k<n} |a_k| R^(k-n) and
 d1 = sum_{k<n} (n-k) |a_k| R^(k-n).  On |z| = R, |q/z^n - 1| <= d and
@@ -8,13 +8,17 @@ monotonically, on this circle and every larger one (both sums fall as R
 grows).  So g = Re q and h = Im q cross it at 2n + 2n nodes (P-nodes and
 Q-nodes), one in each bracket +- pi / 4n about the asymptotic angles
 (2i+1) pi / 2n and i pi / n, within arcsin(d) / n < 1 degree of it.
+
+Route 2 needs just one such circle, and the smallest is best: every arc
+the tracer follows, and every step tolerance, scales with R.  Because the
+certificate holds on every circle outside one that passes, the smallest
+R >= 1 that passes is found by bisection on log R (annulus_radius).
 """
 
 import math
 import sys
 from dataclasses import dataclass
 
-from .bounds import reich_radius
 from .errors import BracketFailure, ConvergenceFailure, InterleavingViolation
 from .polycore import eval_poly
 
@@ -23,6 +27,8 @@ Q_KIND = "Q"
 
 # relative part of the bisection stop rule, 4 * machine epsilon
 _BISECT_RTOL = 4.0 * sys.float_info.epsilon
+# resolution of annulus_radius's search in log2 R
+_SEARCH_STEP = 1 / 64
 
 
 @dataclass(frozen=True)
@@ -76,20 +82,30 @@ def _rouche_certified(q, R):
 
 
 def annulus_radius(p):
-    """Smallest power-of-2 multiple of the properness radius on which the
-    Rouché certificate holds.  d <= 1/2 there and at least halves with
-    each doubling, so five always suffice; raises if R^n overflows first.
+    """Smallest R >= 1, to a factor of 2^(1/64), on which the Rouché
+    certificate holds, by bisection on t = log2 R: the certificate is
+    monotone in R, and each probe is one O(n) pass.  Raises if R^n
+    overflows a double.
     """
     if p.degree < 1:
         raise ConvergenceFailure("annulus radius needs degree >= 1")
     q = p.monic()
-    n, R = q.degree, reich_radius(q)
-    while n * math.log2(R) < 1023.0:
-        if _rouche_certified(q, R):
-            return R
-        R *= 2.0
-    raise ConvergenceFailure(
-        f"R^n overflows double at R = {R:.6g}, degree {n}")
+    if _rouche_certified(q, 1.0):
+        return 1.0
+    n = q.degree
+    top = 1023.0 / n  # R^n overflows from t = top on
+    # 2^lo fails; 2^hi passes, or hi is still top
+    lo, hi = 0.0, top
+    while hi - lo > _SEARCH_STEP:
+        mid = 0.5 * (lo + hi)
+        if _rouche_certified(q, 2.0 ** mid):
+            hi = mid
+        else:
+            lo = mid
+    if hi == top:
+        raise ConvergenceFailure(
+            f"R^n overflows double at R = {2.0 ** top:.6g}, degree {n}")
+    return 2.0 ** hi
 
 
 def _bisect(f, lo, hi, flo):
@@ -182,9 +198,9 @@ def interleaving_check(ns):
 
 
 def locate_boundary_nodes(p):
-    """The nodes on the circle of annulus_radius, which proves by Rouché
-    that each lies alone in its bracket within 1 degree of its
-    asymptote, so one bisection pass finds them all."""
+    """The nodes on the circle of annulus_radius, the smallest on which
+    Rouché proves that each lies alone in its bracket within 1 degree of
+    its asymptote, so one bisection pass finds them all."""
     ns = boundary_nodes(p, annulus_radius(p))
     interleaving_check(ns)
     return ns

@@ -52,8 +52,12 @@ FIELD_H = "h"
 _KIND_FOR_FIELD = {FIELD_G: P_KIND, FIELD_H: Q_KIND}
 _FIELD_FOR_KIND = {P_KIND: FIELD_G, Q_KIND: FIELD_H}
 
-# Steps and position tolerances, times R
-MAX_STEP = 1 / 64
+# Steps and position tolerances, times R.  The step certificate sets the
+# steps; MAX_STEP bounds them where it cannot: with no k >= 2 terms (degree
+# 1) the certified radius is infinite, and an infinite step never lands.
+# On random inputs of degree 4 and up the certificate's steps stay below
+# R / 4, so there the cap sets none.
+MAX_STEP = 1 / 4
 FIRST_STEP = 1 / 512
 MIN_STEP = 1e-12
 POS_TOL = 1e-9  # corrector stop

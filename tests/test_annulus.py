@@ -92,15 +92,16 @@ class TestRoucheCertificate:
     @given(_certificate_cases())
     def test_nodes_alone_and_within_one_degree(self, p):
         n, q = p.degree, p.monic()
-        reich = reich_radius(q)
         try:
             R = annulus_radius(p)
         except ConvergenceFailure as exc:
-            # five doublings always certify, so only R^n overflow stops it
+            # only R^n overflow stops the search: no radius below it passes
             assert "overflows" in str(exc)
-            assert n * (math.log2(reich) + 5) >= 1023
+            assert not _rouche_certified(q, 2.0 ** (1023 / n - 1 / 64))
             return
-        assert R / reich in (1, 2, 4, 8, 16, 32)
+        # the smallest certified radius, to the search's factor 2^(1/64)
+        assert _rouche_certified(q, R)
+        assert R == 1.0 or not _rouche_certified(q, R * 2.0 ** (-1 / 64))
         for rho in (R, 2 * R):
             if n * math.log2(rho) >= 1023:
                 continue
@@ -117,11 +118,15 @@ class TestRoucheCertificate:
         with pytest.raises(BracketFailure, match="P-node 35"):
             boundary_nodes(p, 1.0)
         ns = locate_boundary_nodes(p)
-        assert ns.R == reich_radius(p) == 1.6
+        assert _rouche_certified(p, ns.R)
         assert max(abs(nd.deviation) for nd in ns.nodes) <= ONE_DEGREE
 
     def test_radius_overflow_is_named(self):
-        p = random_poly(np.random.default_rng(5), 128)
+        # d < sin 45 degrees needs R > 1000 sqrt 2, and R^128 overflows
+        # from R = 2^(1023/128) < 256 on: no certified R fits a double
+        n = 128
+        p = Poly([1.0] * (n - 1) + [1e3, 1.0])
+        assert not _rouche_certified(p, 2.0 ** (1023 / n))
         with pytest.raises(RootFindError, match="R\\^n overflows double"):
             locate_boundary_nodes(p)
 

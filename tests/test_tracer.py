@@ -153,6 +153,28 @@ class TestTraceCurve:
         with pytest.raises(StepUnderflow):
             trace_curve(prob, "g", ns.of_kind("P")[0], ns)
 
+    def test_cap_lands_where_the_certificate_allows_any_step(
+            self, monkeypatch):
+        # a degree-1 field has no k >= 2 Taylor terms, so its certified
+        # radius is infinite: MAX_STEP alone bounds the steps, and each
+        # lane crosses the disc in a few capped steps (plus the first
+        # step and the landing); z^2 + 1 lands in a few dozen
+        for p, most in ((Poly([2 - 1j, 1]),
+                         3 + math.ceil(2 / (tracer._CAP * tracer.MAX_STEP))),
+                        (Poly([1, 0, 1]), 48)):
+            prob = perturb_regular(p)
+            ns = locate_boundary_nodes(prob.shifted())
+            starts = ns.of_kind("P") + ns.of_kind("Q")
+            _, samples = _trace_lanes(prob, ns, starts)
+            assert max(len(samples(k)) for k in range(len(starts))) <= most
+        # without the cap an infinite step never lands
+        monkeypatch.setattr(tracer, "MAX_STEP", math.inf)
+        monkeypatch.setattr(tracer, "MAX_STEPS", 1000)
+        prob = perturb_regular(Poly([0, 1]))
+        ns = locate_boundary_nodes(prob.shifted())
+        with pytest.raises(StepUnderflow, match="budget exhausted"):
+            trace_curve(prob, "g", ns.of_kind("P")[0], ns)
+
     def test_samples_within_max_step(self):
         prob = perturb_regular(Poly([-1, 0, 0, 1]))
         ns = locate_boundary_nodes(prob.shifted())
