@@ -58,12 +58,9 @@ class StepUnderflow(RootFindError):
     """Continuation step fell below min_step (near-critical passage)."""
 
 
-class NodeSnapAmbiguity(RootFindError):
-    """A traced arc reached the boundary away from any admissible node."""
-
-
 class MatchingInconsistency(RootFindError):
-    """Arc endpoint bookkeeping failed the involution or separation audit."""
+    """Arc endpoint bookkeeping failed: a lane met no partner or two, or
+    the involution or separation audit failed."""
 
 
 class InvalidMatching(RootFindError):

@@ -13,10 +13,10 @@ step is proven: the Taylor coefficients at the accepted point bound f'
 on a disc holding the step, so the level line is one graph there and
 the step cannot jump to another branch (``_trace_lanes``).  All 4n
 boundary nodes are traced in lockstep on numpy arrays, one lane per
-node, so each arc is traced from both ends.  Two audits of the samples
-run on every solve: the reverse audit (both traces of an arc pair the
-nodes alike) and the separation audit (distinct components do not
-merge).  The tests also check the bounded extrema count and the slope
+node, and two lanes stop where one's point lies in the other's
+certified disc, which proves them the two ends of one arc.  Two audits
+run on every solve: the reverse audit (the lanes' partners form an
+involution) and the separation audit (distinct arcs do not merge).  The tests also check the bounded extrema count and the slope
 law along the samples (test_extrema_budget, test_slope_cross_check).
 
 Steps and tolerances are fixed multiples of the disc radius R, or of
@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 from .annulus import P_KIND, Q_KIND
 from .errors import (
+    ConvergenceFailure,
     InvalidMatching,
     MatchingInconsistency,
-    NodeSnapAmbiguity,
     StepUnderflow,
 )
 from .polycore import (
@@ -42,6 +42,7 @@ from .polycore import (
     eval_jet,
     eval_poly,
     eval_with_derivative,
+    taylor_shift,
 )
 
 np = LazyNumpy(globals())
@@ -54,7 +55,8 @@ _FIELD_FOR_KIND = {P_KIND: FIELD_G, Q_KIND: FIELD_H}
 
 # Steps and position tolerances, times R.  The step certificate sets the
 # steps; MAX_STEP bounds them where it cannot: with no k >= 2 terms (degree
-# 1) the certified radius is infinite, and an infinite step never lands.
+# 1) the certified radius is infinite, and an infinite step is never
+# accepted.
 # On random inputs of degree 4 and up the certificate's steps stay below
 # R / 4, so there the cap sets none.
 MAX_STEP = 1 / 4
@@ -62,7 +64,6 @@ FIRST_STEP = 1 / 512
 MIN_STEP = 1e-12
 POS_TOL = 1e-9  # corrector stop
 MERGE_TOL = 1e-6  # separation audit: closest allowed approach
-BOUNDARY_MARGIN = 1e-3  # landing band inside the circle
 # Field-value tolerances, times max(1, R)**n
 ON_CURVE_TOL = 1e-8
 OTHER_FLOOR = 1e-4  # separation audit: the other field counts as zero
@@ -155,17 +156,22 @@ def perturb_regular(p, tol=1e-9):
     """Pick eps1, eps2 so the shifted levels miss every critical point.
 
     tol is the pipeline's target residual; critical points are found to
-    residual 100 * tol.  eps is the smallest candidate from
-    {0, +d0, -d0, +2d0, ...} (d0 = 1e-6 * scale) at distance > d0/2 from
-    the relevant critical values; the finitely many critical values
+    residual 100 * tol, on base shifted to the mean of its roots, which
+    keeps the critical values and shrinks the coefficients the descent's
+    stop scales with (Wilkinson 10's p' from 2.6e7 to 1.1e4); where the
+    descent stalls there, on base itself.  eps is the smallest candidate
+    from {0, +d0, -d0, +2d0, ...} (d0 = 1e-6 * scale) at distance > d0/2
+    from the relevant critical values; the finitely many critical values
     guarantee a quick find.
     """
     base = p.monic()
+    vals = []
     if base.degree >= 2:
-        crit = critical_points(base, 100.0 * tol)
-    else:
-        crit = []
-    vals = [eval_poly(base, c) for c in crit]
+        try:
+            vals = _critical_values(
+                taylor_shift(base, -base.coeffs[-2] / base.degree), tol)
+        except ConvergenceFailure:
+            vals = _critical_values(base, tol)
     gvals = [v.real for v in vals]
     hvals = [v.imag for v in vals]
     scale = max([1.0] + [abs(v) for v in gvals + hvals])
@@ -175,6 +181,10 @@ def perturb_regular(p, tol=1e-9):
         eps1=_pick_eps(gvals, delta0),
         eps2=_pick_eps(hvals, delta0),
     )
+
+
+def _critical_values(q, tol):
+    return [eval_poly(q, c) for c in critical_points(q, 100.0 * tol)]
 
 
 def _pick_eps(vals, delta0):
@@ -188,58 +198,10 @@ def _pick_eps(vals, delta0):
         k += 1
 
 
-def _land_on_circle(prob, field, x, y, R):
-    # Newton on the 2x2 system (field = 0, |z| = R) from (x, y).
-    u, v = x, y
-    for _ in range(30):
-        val, fx, fy = _field_eval(prob, field, u, v)
-        circ = (u * u + v * v - R * R) / (2.0 * R)
-        a, b = fx, fy
-        c, d = u / R, v / R
-        det = a * d - b * c
-        if abs(det) < 1e-300:
-            return None
-        du = (-val * d + circ * b) / det
-        dv = (-a * circ + c * val) / det
-        u += du
-        v += dv
-        if math.hypot(du, dv) <= 1e-12 * R:
-            val, _, _ = _field_eval(prob, field, u, v)
-            if abs(val) > ON_CURVE_TOL * _value_scale(prob, R):
-                return None
-            return u, v
-    return None
-
-
-def _snap_to_node(nodes, kind, x, y):
-    # Nearest same-kind node by cyclic angle, within half the minimal
-    # same-kind spacing.
-    two_pi = 2.0 * math.pi
-    theta = math.atan2(y, x) % two_pi
-    family = nodes.of_kind(kind)
-    angles = sorted(nd.angle for nd in family)
-    gaps = [(angles[(i + 1) % len(angles)] - angles[i]) % two_pi
-            for i in range(len(angles))]
-    window = 0.5 * min(gaps)
-
-    best, best_d = None, float("inf")
-    for nd in family:
-        d = abs((theta - nd.angle + math.pi) % two_pi - math.pi)
-        if d < best_d:
-            best, best_d = nd, d
-    if best is None or best_d >= window:
-        raise NodeSnapAmbiguity(
-            f"landing angle {theta:.6f} is {best_d:.3e} rad from the nearest "
-            f"{kind}-node, beyond the snap window {window:.3e}")
-    return best
-
-
 # the step after an accepted point is _REACH times the radius the largest
 # term of its certificate allows alone, and at most _CAP * MAX_STEP * R
 # (so that a chord a little longer than the step passes)
 _REACH, _CAP = 0.7, 0.95
-# steps per block of the lockstep tracer's sample history
-_BLOCK = 256
 
 
 def _floor_matrix(kernel):
@@ -253,10 +215,12 @@ def _floor_matrix(kernel):
     each term at most 4n times (abs, sum, k, the chord and its powers,
     product), the sum n - 2 more and the right side 4 times, so a
     passing test gives sum_(k>=2) k (|b^_k| + F_k) r^(k-1) <= (|b^_1| -
-    F_1) / sqrt 2 + gamma_(5n+6) |b^_1|.  As |b^_k - b_k| <=
-    gamma_(6n+5) M_k (JetKernel) and |b^_1| <= 1.1 M_1, F_k covers both
-    errors: sum_(k>=2) k |b_k| r^(k-1) < |b_1| / sqrt 2 for the exact
-    b_k (M_1 > 0, barring underflow).  The floor of the test is at
+    F_1) / sqrt 2 + gamma_(5n+6) |b^_1|.  The meeting test takes r =
+    fl(sqrt 2 d), two more roundings of the chord, so at most 6n per
+    term and gamma_(7n+6) in all.  As |b^_k - b_k| <= gamma_(6n+5) M_k
+    (JetKernel) and |b^_1| <= 1.1 M_1, F_k covers both errors:
+    sum_(k>=2) k |b_k| r^(k-1) < |b_1| / sqrt 2 for the exact b_k (M_1 >
+    0, barring underflow).  The floor of the test is at
     least sum_k k F_k r^(k-1) / sqrt 2, about K M'(|z| + r) / sqrt 2
     for M'(x) = sum_j j |a_j| x^(j-1).
     """
@@ -265,15 +229,14 @@ def _floor_matrix(kernel):
 
 
 def _trace_lanes(prob, nodes, starts):
-    """Trace the curves from every node of ``starts`` at once, in lockstep.
+    """Trace the curves from every node of ``starts`` at once, in lockstep,
+    until each lane meets the lane from the other end of its arc.
 
     Lane k starts at starts[k] and traces g (P-node) or h (Q-node); its
-    state (position z, unit tangent, step h, the step certificate at z,
-    entered and active flags) lives in arrays, so every check of the
-    scalar predictor-corrector runs once per step for all lanes.  Lanes
-    stay resident after they land: masks, not compaction, select the
-    lanes a result applies to, because the cost of a step is its number
-    of numpy calls, not its number of lanes.
+    state (position z and the one before, tangent, step h, the step
+    certificates at both positions) lives in arrays, so each check runs
+    once per step for all lanes.  Paired lanes stay resident (masks, not
+    compaction): a step costs its number of numpy calls, not of lanes.
 
     A step predicts z + h t, corrects by damped Newton along the
     gradient, and accepts the corrected point u only when it is on the
@@ -284,20 +247,42 @@ def _trace_lanes(prob, nodes, starts):
     Then |f'(w) - f'(z)| < |f'(z)| / sqrt 2 on the disc |w - z| <= r,
     so f' stays within 45 degrees of f'(z): the field is strictly
     monotone along every normal of the tangent at z, its level line is
-    one graph over that tangent in the disc, and u lies on z's branch.
-    A failed test halves h; an accepted one sets h from the certificate
-    at u (_REACH, _CAP).
+    one graph of slope at most 1 over that tangent in the disc, and u
+    lies on z's branch.  A failed test halves h; an accepted one sets h
+    from the certificate at u (_REACH, _CAP).
 
-    Returns (ends, samples): the snapped end node of each lane, and
-    samples(k), the (m, 2) points of lane k from its start node to its
-    landing point.
+    After each step, lanes i and j of one kind meet, and stop, when the
+    test above holds about c, i's point or its previous one (lanes moving
+    towards each other can pass in one step), at rho = sqrt 2 d, d =
+    |z_j - c|.  c's branch then spans every normal chord of the disc
+    within d of c along the tangent, each holding one point of the level
+    set at most, so z_j is on it, and the piece between lies within rho
+    of c.  The meeting also needs:
+
+    - |c| + rho < R - POS_TOL * R: the piece lies inside the circle, so
+      both lanes are on one component of the level set in the disc, a
+      regular arc (perturb_regular) whose two boundary nodes are their
+      starts.  A lane that meets two raises MatchingInconsistency, as
+      does one that steps onto or past the circle unpaired.
+    - d <= _CAP * MAX_STEP * R, so the junction is no longer than a step.
+    - Points on the level line, which holds up to rounding only: the
+      accept tests do not bound the rounding of b_0.  No test here sees
+      a lane stray to another branch; the reverse and separation audits
+      (compute_matchings) stay for that.
+
+    Distances against reach / sqrt 2 (a chord past ``reach`` fails on its
+    largest term alone) filter the candidates for the full test.
+
+    Returns (ends, halves): the partner's start node of each lane, and
+    halves[k], the (m, 2) points of lane k from its start node to where
+    it met its partner.  The arc from starts[k] is halves[k] followed by
+    its partner's half reversed.
     """
     R = nodes.R
     n = prob.base.degree
     max_step = R * MAX_STEP
     min_step = R * MIN_STEP
     pos_tol = R * POS_TOL
-    margin = R * BOUNDARY_MARGIN
     L = len(starts)
     # the traced field is Re(c f): c = 1 on g-lanes, -i on h-lanes.  Its
     # gradient is conj(c f'), so -val / (c f') is the Newton step
@@ -310,13 +295,11 @@ def _trace_lanes(prob, nodes, starts):
     exponents = 1.0 / (weights - 1.0)  # 1 / (k - 1)
     start_z, t = (
         np.array(col) for col in zip(*(_start(prob, nd, R) for nd in starts)))
-    near_circle = R - margin
-    inside = R - 2.0 * margin
 
     def floats(*shape):
         return np.empty(shape or (L,))
 
-    halfh, nrm, fac, rr, cos, sgrad, reach = (floats() for _ in range(7))
+    halfh, nrm, fac, rr, cos, sgrad = (floats() for _ in range(6))
     pred, dz, diff, tn = (np.empty(L, dtype=complex) for _ in range(4))
     tn_imag = tn.imag
     pending, flag, rej = (np.empty(L, dtype=bool) for _ in range(3))
@@ -324,14 +307,28 @@ def _trace_lanes(prob, nodes, starts):
     val, der = kernel.out[0].real, kernel.out[1]
     u = np.empty(L, dtype=complex)
     # |b_1|, ..., |b_n| and F_1, ..., F_n at u (_floor_matrix); the
-    # certificate at u and at z, each as the row (|b_1| - F_1) / sqrt 2
-    # over the rows k (|b_k| + F_k), k = 2..n; powers of the chord r^1,
-    # ..., r^(n-1), and the terms of the test sum
-    mags, floors, cert_u, cert_z = (floats(n, L) for _ in range(4))
+    # certificate at u: the row (|b_1| - F_1) / sqrt 2, the rows k (|b_k|
+    # + F_k), k = 2..n, and the radius its largest term allows alone;
+    # powers of the chord r^1, ..., r^(n-1), and the terms of the test sum
+    mags, floors = floats(n, L), floats(n, L)
+    cert_u = floats(n + 1, L)
+    limit_u, terms_u, reach = cert_u[0], cert_u[1:n], cert_u[n]
     pw_abs = floats(n + 1, L)
-    limit_u, terms_u = cert_u[0], cert_u[1:]
-    limit_z, terms_z = cert_z[0], cert_z[1:]
     chord_pow, ratio, cert_terms = (floats(n - 1, L) for _ in range(3))
+    # the 2L disc centres of the meeting test, each lane's point z, then
+    # its previous point, with their certificates; a paired lane's
+    # centres become NaN, which no distance test passes
+    centre = np.concatenate((start_z, start_z))
+    z, prev = centre[:L], centre[L:]
+    cert = floats(n + 1, 2 * L)
+    cert_z = cert[:, :L]
+    limit_z, terms_z = cert_z[0], cert_z[1:n]
+    gap = np.empty((2 * L, L), dtype=complex)
+    dist = floats(2 * L, L)
+    near = np.empty((2 * L, L), dtype=bool)
+    kind = np.array([nd.kind for nd in starts] * 2)
+    pairable = kind[:, None] == kind[None, :L]
+    pairable[np.arange(2 * L), np.arange(2 * L) % L] = False
     # one row of ``passed`` per accept test: on-curve value and chord
     # (test <= limit), certificate sum (<= limit_z), corrector converged
     test = floats(3, L)
@@ -341,15 +338,15 @@ def _trace_lanes(prob, nodes, starts):
     limit[1] = max_step
     passed = np.empty((4, L), dtype=bool)
     ok = np.empty(L, dtype=bool)
-    # every step's corrected points and accept mask, in blocks of rows
-    hist_z, hist_ok, row = [], [], _BLOCK
-    ends = [None] * L
-    landing = np.zeros(L, dtype=complex)
+    # every step's corrected points and accept mask, from the start nodes
+    hist_z, hist_ok = [start_z], [np.ones(L, dtype=bool)]
+    # each lane's partner, and whether it met it from its previous point:
+    # its last accepted point is then not part of the arc
+    partner, drop = [None] * L, np.zeros(L, dtype=bool)
 
     def certify(points):
-        # b_0..b_n at ``points`` into the kernel's rows, the certificate
-        # into cert_u (the kernel's powers of the points give the floor),
-        # and into reach the radius its largest term allows on its own
+        # b_0..b_n at ``points`` into the kernel's rows and the
+        # certificate into cert_u (the kernel's powers give the floor)
         np.abs(kernel(points)[1:], out=mags)
         np.abs(kernel.powers, out=pw_abs)
         np.matmul(floor, pw_abs, out=floors)
@@ -361,12 +358,33 @@ def _trace_lanes(prob, nodes, starts):
         np.power(ratio, exponents, out=ratio)
         np.fmin.reduce(ratio, axis=0, out=reach, initial=np.inf)
 
+    def meet():
+        # the candidates (centre row, lane j) that pass the meeting test,
+        # in row order: every lane's point before any previous point
+        rows, js = np.nonzero(near)
+        d = dist[rows, js]
+        rho = d * math.sqrt(2.0)
+        pw = np.multiply.accumulate(np.broadcast_to(rho, (n - 1, len(rho))),
+                                    axis=0)
+        good = ((d <= _CAP * max_step)
+                & (np.abs(centre[rows]) + rho < R - pos_tol)
+                & (np.sum(pw * cert[1:n, rows], axis=0) <= cert[0, rows]))
+        for ci, j in zip(rows[good].tolist(), js[good].tolist()):
+            i = ci % L
+            if partner[i] == j:
+                continue
+            if partner[i] is not None or partner[j] is not None:
+                raise MatchingInconsistency(
+                    f"{kind[i]}-lanes from nodes {starts[i].index} and "
+                    f"{starts[j].index} meet, but one of them met another")
+            partner[i], partner[j], drop[i] = j, i, ci >= L
+            active[[i, j]] = False
+            z[[i, j]] = prev[[i, j]] = np.nan
+
     with np.errstate(all="ignore"):
-        z = start_z.copy()
         certify(z)
-        np.copyto(cert_z, cert_u)
+        cert[:, :L] = cert[:, L:] = cert_u
         h = np.minimum(R * FIRST_STEP, _REACH * reach)
-        entered = np.zeros(L, dtype=bool)
         active = np.ones(L, dtype=bool)
 
         for _ in range(MAX_STEPS):
@@ -419,15 +437,16 @@ def _trace_lanes(prob, nodes, starts):
                         "retry with a stronger perturbation")
 
             np.abs(u, out=rr)
-            np.logical_and(entered, ok, out=flag)
-            np.greater_equal(rr, near_circle, out=flag, where=flag)
+            np.greater_equal(rr, R, out=flag)
+            flag &= ok
             if np.count_nonzero(flag):
-                for k in np.flatnonzero(flag):
-                    hit = _land(prob, nodes, starts[k], u[k], h[k])
-                    if hit is not None:
-                        landing[k], ends[k] = hit
-                        active[k] = ok[k] = False
+                nd = starts[int(np.flatnonzero(flag)[0])]
+                raise MatchingInconsistency(
+                    f"{nd.kind}-lane from node {nd.index} reached the circle "
+                    "unpaired")
 
+            np.copyto(prev, z, where=ok)
+            np.copyto(cert[:, L:], cert_z, where=ok)
             np.copyto(z, u, where=ok)
             np.copyto(cert_z, cert_u, where=ok)
             # the new unit tangent, oriented along the previous one
@@ -437,32 +456,34 @@ def _trace_lanes(prob, nodes, starts):
             np.conjugate(der, out=tn)
             tn *= 1j
             np.divide(tn, sgrad, out=t, where=ok)
-            if row == _BLOCK:
-                hist_z.append(np.empty((_BLOCK, L), dtype=complex))
-                hist_ok.append(np.zeros((_BLOCK, L), dtype=bool))
-                row = 0
-            hist_z[-1][row] = u
-            hist_ok[-1][row] = ok
-            row += 1
-            np.logical_or(entered, rr < inside, out=entered, where=ok)
+            hist_z.append(u.copy())
+            hist_ok.append(ok.copy())
             # h stays within [min_step, _CAP * max_step]
             np.multiply(reach, _REACH, out=h, where=ok)
             np.minimum(h, _CAP * max_step, out=h)
             np.maximum(h, min_step, out=h)
-            if not np.count_nonzero(active):
-                break
+
+            np.subtract(z, centre[:, None], out=gap)
+            np.abs(gap, out=dist)
+            np.less_equal(dist, cert[n, :, None] * math.sqrt(0.5), out=near)
+            near &= pairable
+            if np.count_nonzero(near):
+                meet()
+                if not np.count_nonzero(active):
+                    break
         else:
             raise StepUnderflow(
-                "step budget exhausted before reaching the boundary")
+                "step budget exhausted before every lane met its partner")
 
-    def samples(k):
-        pts = np.concatenate(
-            [start_z[k:k + 1]]
-            + [zs[:, k][oks[:, k]] for zs, oks in zip(hist_z, hist_ok)]
-            + [landing[k:k + 1]])
-        return np.column_stack((pts.real, pts.imag))
-
-    return ends, samples
+    # each lane's start and accepted points, lane by lane, less the last
+    # one of a lane in ``drop``
+    hist_z, hist_ok = np.array(hist_z).T, np.array(hist_ok).T
+    for k in np.flatnonzero(drop):
+        hist_ok[k, np.flatnonzero(hist_ok[k])[-1]] = False
+    pts = hist_z[hist_ok]
+    halves = np.split(np.column_stack((pts.real, pts.imag)),
+                      np.cumsum(hist_ok.sum(axis=1))[:-1])
+    return [starts[j] for j in partner], halves
 
 
 def _start(prob, node, R):
@@ -479,50 +500,30 @@ def _start(prob, node, R):
     return z, t
 
 
-def _land(prob, nodes, start, u, step):
-    # A lane that started at ``start`` accepted u near the circle: Newton
-    # onto |z| = R.  A landing within reach of u replaces u, so every
-    # sample stays inside the closed disc; returns it with its snapped
-    # node, or None to keep tracing.
-    R = nodes.R
-    cand = _land_on_circle(prob, _FIELD_FOR_KIND[start.kind], u.real, u.imag,
-                           R)
-    if cand is None or math.hypot(cand[0] - u.real, cand[1] - u.imag) > \
-            4.0 * max(step, R * BOUNDARY_MARGIN):
-        return None
-    end = _snap_to_node(nodes, start.kind, *cand)
-    if end.index == start.index:
-        raise NodeSnapAmbiguity(
-            f"{start.kind}-arc from node {start.index} landed back on its "
-            "start")
-    return complex(*cand), end
-
-
 def trace_curve(prob, field, start, nodes):
-    """Trace one level-curve component from a boundary node to its partner.
+    """Trace the level-curve component from a boundary node to the node
+    at its other end.
 
-    Unit tangent is the 90-degree rotation of the gradient, signed to
-    point into the disc at the start and to preserve orientation after
-    that.  Each step, at most MAX_STEP * R, is corrected back onto the
-    curve by damped Newton and proven by the step certificate, else it
-    halves (``_trace_lanes``).  Tracing ends when the boundary is
-    reached again; the landing is moved onto |z| = R by Newton and
-    snapped to the nearest node of the same kind.  This is the one-lane
-    case of the lockstep tracer behind compute_matchings; the pipeline
-    does not call it.  It is kept for library users and for the
-    benchmark's probes, which count its calls and samples.
+    Every node of the start's kind is traced at once by the proven
+    predictor-corrector of ``_trace_lanes``, and the arc is the start's
+    lane followed by the lane it met, reversed.  The pipeline does not
+    call this; it is kept for library users and for the benchmark's
+    probes, which count its calls and samples.
     """
     if _KIND_FOR_FIELD[field] != start.kind:
         raise ValueError(f"field {field!r} cannot start at a {start.kind}-node")
-    ends, samples = _trace_lanes(prob, nodes, (start,))
-    return Arc(field=field, samples=samples(0), start_node=start,
-               end_node=ends[0])
+    ends, halves = _trace_lanes(prob, nodes, nodes.of_kind(start.kind))
+    end = ends[start.index]
+    return Arc(field=field,
+               samples=np.concatenate((halves[start.index],
+                                       halves[end.index][::-1])),
+               start_node=start, end_node=end)
 
 
 def reverse_audit(kind, ends):
-    """The matching traced from both ends of every arc: lane i reached
-    node ends[i], so ends[ends[i]] == i must hold for every i.  Returns
-    the Matching; raises MatchingInconsistency otherwise."""
+    """The matching traced from both ends of every arc: lane i met the
+    lane from node ends[i], so ends[ends[i]] == i must hold for every i.
+    Returns the Matching; raises MatchingInconsistency otherwise."""
     try:
         return Matching(pairs=tuple(ends)).validate(name=f"{kind}-lane ends")
     except InvalidMatching as exc:
@@ -616,32 +617,27 @@ def compute_matchings(prob, ns):
     """Trace every component of both families inside the disc.
 
     Returns (matchP, matchQ, arcs) with exactly n P-arcs and n Q-arcs.
-    All 4n boundary nodes are traced at once, so every arc is traced
-    from both of its ends; the two traces must agree (the reverse audit)
-    and the one from the lower node index is kept.  The separation audit
-    runs before returning.
+    All 4n boundary nodes are traced at once, and each lane stops where
+    it meets the lane from the other end of its arc (``_trace_lanes``).
+    The reverse audit checks that the partners form an involution, the
+    arc from the lower node index is kept, and the separation audit runs
+    before returning.
     """
-    match_p, match_q, arcs = _audited_arcs(prob, ns)
-    separation_audit(arcs, prob, ns.R)
-    return match_p, match_q, arcs
-
-
-def _audited_arcs(prob, ns):
-    # The traces of all lanes (the sample history dies on return, before
-    # the separation audit needs its memory), the reverse audit, and the
-    # arcs of the lower-index lanes.
     starts = ns.of_kind(P_KIND) + ns.of_kind(Q_KIND)
     count = len(starts) // 2
-    ends, samples = _trace_lanes(prob, ns, starts)
+    ends, halves = _trace_lanes(prob, ns, starts)
     matchings, arcs = [], []
     for offset in (0, count):
         kind = starts[offset].kind
         match = reverse_audit(
             kind, [nd.index for nd in ends[offset:offset + count]])
         matchings.append(match)
-        for i, _ in match.arcs():
+        for i, j in match.arcs():
             arcs.append(Arc(field=_FIELD_FOR_KIND[kind],
-                            samples=samples(offset + i),
+                            samples=np.concatenate(
+                                (halves[offset + i],
+                                 halves[offset + j][::-1])),
                             start_node=starts[offset + i],
-                            end_node=ends[offset + i]))
+                            end_node=starts[offset + j]))
+    separation_audit(arcs, prob, ns.R)
     return matchings[0], matchings[1], arcs

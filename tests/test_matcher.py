@@ -394,20 +394,32 @@ def test_corpus_case_root_confirmed_by_numpy(name):
     assert np.min(np.abs(roots - report.root)) <= 1e-6
 
 
-def test_wilkinson_8_solves_past_the_separation_audit():
-    # prod (z - k), k = 1..8, as the benchmark corpus builds it.  Traced
-    # at the old R = 725 758, two h-arcs came within the separation
-    # audit's MERGE_TOL * R of each other ("h-arcs 0 and 7 within
-    # 7.893e-04") and the solve failed in stage trace
-    coeffs = [complex(c) for c in np.poly(np.arange(1.0, 9.0))[::-1]]
+def assert_wilkinson_solves(n):
+    # prod (z - k), k = 1..n, as the benchmark corpus builds it, solved
+    # within the tol-or-floor contract at one of its roots
+    coeffs = [complex(c) for c in np.poly(np.arange(1.0, n + 1.0))[::-1]]
     p = Poly(coeffs)
     report = run_pipeline(p, 1e-9)
     if report.stop == "tol":
         assert report.residual <= 1e-9
     else:
         assert report.stop == "floor" and report.residual <= report.floor
-    assert min(abs(report.root - k) for k in range(1, 9)) <= 1e-6
+    assert min(abs(report.root - k) for k in range(1, n + 1)) <= 1e-6
     assert exact_residual(p, report.root) <= max(1e-9, report.floor)
+
+
+def test_wilkinson_8_solves_past_the_separation_audit():
+    # traced at the old R = 725 758, two h-arcs came within the
+    # separation audit's MERGE_TOL * R of each other ("h-arcs 0 and 7
+    # within 7.893e-04") and the solve failed in stage trace
+    assert_wilkinson_solves(8)
+
+
+def test_wilkinson_10_solves_past_perturb():
+    # the critical points of the uncentred polynomial, whose p' has
+    # coefficients up to 2.6e7, stalled the descent at its noise floor
+    # ("stuck at the noise floor") and the solve failed in stage perturb
+    assert_wilkinson_solves(10)
 
 
 # gauss corpus seed 0, case 21: a degree-6 polynomial times 1e8, whose

@@ -13,13 +13,16 @@ from openroots import (
     Poly,
     boundary_nodes,
     compute_matchings,
+    critical_points,
     eval_poly,
     locate_boundary_nodes,
     perturb_regular,
+    taylor_shift,
     trace_curve,
     tracer,
 )
 from openroots.errors import (
+    ConvergenceFailure,
     InvalidMatching,
     MatchingInconsistency,
     StepUnderflow,
@@ -40,6 +43,29 @@ SQRT2 = math.sqrt(2.0)
 def line_distance(x, y):
     # distance to the nearer of y = x and y = -x
     return min(abs(x - y), abs(x + y)) / SQRT2
+
+
+# gauss corpus (bench/corpus.py, 20 s) seed 0 case 14, as (re, im) in
+# ascending powers
+SEED0_CASE14 = [
+    (0.6080752853534778, 0.597748817888559),
+    (1.4142178772294915, 1.1020024882234596),
+    (0.13939256775837883, 0.15467327941939177),
+    (0.815889459129897, -1.0273674843976592),
+    (1.499275103677634, -0.34148202962696383),
+    (0.10016125651933967, -0.21879712825211595),
+    (-0.5843105627220035, -1.2743627459904134),
+    (-0.37564544008821993, 0.14968797740910225),
+    (0.5905558022462201, -1.4410349900687345),
+    (-0.27606136144307014, -0.43022515496698904),
+    (0.17542537385845822, 0.3608001517766062),
+    (-1.338399941418875, -0.07177613019123023),
+    (-0.7215962670562497, 0.20777147464200488),
+    (-0.3465501389452231, 0.80540307289547),
+    (-0.17169056625021534, 0.897379179163208),
+    (-1.7269350098409981, 0.508052262047181),
+    (1.0, 0.0),
+]
 
 
 class TestPerturbRegular:
@@ -82,6 +108,15 @@ class TestPerturbRegular:
                 size=degree + 1)
             prob = perturb_regular(Poly(coeffs))
             assert prob.base.degree == degree
+
+    def test_critical_points_where_the_centred_descent_stalls(self):
+        # gauss corpus seed 0 case 14 (degree 16): the descent stalls at
+        # its noise floor on the centred polynomial, not on p itself
+        p = Poly([complex(re, im) for re, im in SEED0_CASE14])
+        q = taylor_shift(p, -p.coeffs[-2] / p.degree)
+        with pytest.raises(ConvergenceFailure, match="noise floor"):
+            critical_points(q, 1e-7)
+        assert perturb_regular(p).base.degree == 16
 
     def test_shifted_polynomial(self):
         prob = perturb_regular(Poly([0, 0, 1]))
@@ -157,17 +192,17 @@ class TestTraceCurve:
             self, monkeypatch):
         # a degree-1 field has no k >= 2 Taylor terms, so its certified
         # radius is infinite: MAX_STEP alone bounds the steps, and each
-        # lane crosses the disc in a few capped steps (plus the first
-        # step and the landing); z^2 + 1 lands in a few dozen
+        # lane meets its partner within a few capped steps (plus the
+        # first step); on z^2 + 1 within a few dozen
         for p, most in ((Poly([2 - 1j, 1]),
                          3 + math.ceil(2 / (tracer._CAP * tracer.MAX_STEP))),
                         (Poly([1, 0, 1]), 48)):
             prob = perturb_regular(p)
             ns = locate_boundary_nodes(prob.shifted())
             starts = ns.of_kind("P") + ns.of_kind("Q")
-            _, samples = _trace_lanes(prob, ns, starts)
-            assert max(len(samples(k)) for k in range(len(starts))) <= most
-        # without the cap an infinite step never lands
+            _, halves = _trace_lanes(prob, ns, starts)
+            assert max(len(half) for half in halves) <= most
+        # without the cap an infinite step is never accepted
         monkeypatch.setattr(tracer, "MAX_STEP", math.inf)
         monkeypatch.setattr(tracer, "MAX_STEPS", 1000)
         prob = perturb_regular(Poly([0, 1]))
@@ -277,32 +312,103 @@ class TestComputeMatchings:
         p = matching_suite()[5]
         prob = perturb_regular(p)
         ns = locate_boundary_nodes(prob.shifted())
-        monkeypatch.setattr(tracer, "MAX_STEPS", 40)
+        # the lanes of this degree-5 draw meet after 25 lockstep steps
+        monkeypatch.setattr(tracer, "MAX_STEPS", 12)
         with pytest.raises(StepUnderflow, match="budget"):
             compute_matchings(prob, ns)
 
 
+# gauss corpus (bench/corpus.py, 20 s) seed 7: case 88, two double roots
+# and a simple one, and case 112, a triple root and two simple ones, as
+# (re, im) in ascending powers
+MULTIPLE_ROOTS = {
+    "seed7-case88": [
+        (0.5894115680149361, -1.436568035477351),
+        (2.138767064319195, -0.05952298782906407),
+        (-1.4581374896172756, -0.5178894598509267),
+        (1.030371740842772, -0.2269941658795712),
+        (-0.7876127919058387, 1.6416428026843282),
+        (1.0, 0.0),
+    ],
+    "seed7-case112": [
+        (-5.470252136058928, -2.975621144702015),
+        (4.4326385960854475, 1.234729406686915),
+        (0.9372586531764975, -8.321202305498788),
+        (3.1082164832672508, 10.502322179074211),
+        (-4.192023546634249, -3.494079318746046),
+        (1.0, 0.0),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MULTIPLE_ROOTS))
+def test_unperturbed_multiple_roots_fail_the_trace(name):
+    # at eps = 0 the traced levels pass through the multiple roots, where
+    # rounding moves the computed curves by more than the gap between
+    # branches; the points are on the level lines only up to rounding,
+    # and such a trace must end in an error, never in matchings
+    p = Poly([complex(re, im) for re, im in MULTIPLE_ROOTS[name]])
+    prob = PerturbedProblem(p.monic(), 0.0, 0.0)
+    ns = locate_boundary_nodes(prob.shifted())
+    with pytest.raises(MatchingInconsistency):
+        compute_matchings(prob, ns)
+
+
 class TestLockstep:
     def test_lanes_independent(self):
-        # each lane of the lockstep run reaches the node that a one-lane
-        # trace from the same start reaches, with as many samples; the
-        # samples agree within pos_tol, not to the bit, since the batched
-        # jet rounds by batch position
+        # each lane of the lockstep run over both kinds meets the partner
+        # that trace_curve, over the start's kind alone, reaches from the
+        # same start, with as many samples; the samples agree within
+        # pos_tol, not to the bit, since the batched jet rounds by batch
+        # position
         rng = np.random.default_rng(64)
         for n in (3, 6, 10):
             prob = perturb_regular(random_poly(rng, n))
             ns = locate_boundary_nodes(prob.shifted())
             starts = ns.of_kind("P") + ns.of_kind("Q")
-            ends, samples = _trace_lanes(prob, ns, starts)
+            ends, halves = _trace_lanes(prob, ns, starts)
             for k, start in enumerate(starts):
                 field = "g" if start.kind == "P" else "h"
                 arc = trace_curve(prob, field, start, ns)
                 assert arc.end_node == ends[k]
-                assert arc.samples.shape == samples(k).shape
-                assert np.max(np.abs(arc.samples - samples(k))) <= \
+                j = starts.index(ends[k])
+                joined = np.concatenate((halves[k], halves[j][::-1]))
+                assert arc.samples.shape == joined.shape
+                assert np.max(np.abs(arc.samples - joined)) <= \
                     tracer.POS_TOL * ns.R
-                polyline = np.hypot(*np.diff(samples(k), axis=0).T).sum()
+                polyline = np.hypot(*np.diff(joined, axis=0).T).sum()
                 assert arc.length == pytest.approx(polyline, rel=1e-9)
+
+    def test_lanes_meet_inside_in_half_the_steps(self, monkeypatch):
+        # every lane stops where it meets its partner, inside the circle,
+        # each with accepted points of its own; so the loop runs for
+        # about half the longest arc's samples, not for all of them
+        suite = matching_suite() + [
+            Poly([complex(c) for c in np.poly(np.arange(1.0, 9.0))[::-1]])]
+        for p in suite:
+            prob = perturb_regular(p)
+            ns = locate_boundary_nodes(prob.shifted())
+            starts = ns.of_kind("P") + ns.of_kind("Q")
+            ends, halves = _trace_lanes(prob, ns, starts)
+            for k, half in enumerate(halves):
+                assert len(half) >= 2
+                assert math.hypot(*half[-1]) < ns.R
+                assert ends[starts.index(ends[k])] == starts[k]
+            longest = max(len(halves[k]) + len(halves[starts.index(end)])
+                          for k, end in enumerate(ends))
+            with monkeypatch.context() as patch:
+                patch.setattr(tracer, "MAX_STEPS",
+                              math.ceil(longest / 2) + 2)
+                _trace_lanes(prob, ns, starts)
+
+    def test_lane_without_partner_reaches_the_circle(self):
+        prob = perturb_regular(matching_suite()[4])
+        ns = locate_boundary_nodes(prob.shifted())
+        start = ns.of_kind("Q")[3]
+        with pytest.raises(MatchingInconsistency,
+                           match="Q-lane from node 3 reached the circle "
+                                 "unpaired"):
+            _trace_lanes(prob, ns, (start,))
 
     def test_arcs_are_lower_index_lanes(self):
         prob = perturb_regular(matching_suite()[4])
@@ -437,20 +543,30 @@ class TestStepCertificate:
                         Fraction(floors[k - 1]) ** 2
 
     def test_traced_steps_are_certified(self):
-        # every traced step but the landing lies in a disc about its
-        # start where f' stays within 45 degrees of its value there
+        # every traced step lies in a disc about the point its lane
+        # stepped from where f' stays within 45 degrees of its value
+        # there; the junction of two halves lies in the disc, sqrt 2
+        # times wider, that proved the meeting
         rng = np.random.default_rng(92)
         prob = perturb_regular(random_poly(rng, 7))
         ns = locate_boundary_nodes(prob.shifted())
-        _, _, arcs = compute_matchings(prob, ns)
+        starts = ns.of_kind("P") + ns.of_kind("Q")
+        ends, halves = _trace_lanes(prob, ns, starts)
         shifted = prob.shifted()
-        for arc in arcs:
-            pts = arc.samples[:-1, 0] + 1j * arc.samples[:-1, 1]
+        for half in halves:
+            pts = half[:, 0] + 1j * half[:, 1]
             for k in rng.choice(len(pts) - 1, size=8):
                 z, u = complex(pts[k]), complex(pts[k + 1])
                 assert certified(certificate(shifted, z), abs(u - z))
                 assert f_prime_turn(shifted, z, abs(u - z), 16) < \
                     math.sqrt(0.5)
+        for k, end in enumerate(ends):
+            a, b = (complex(*halves[i][-1]) for i in (k, starts.index(end)))
+            rho = SQRT2 * abs(b - a)
+            held = [c for c in (a, b)
+                    if certified(certificate(shifted, c), rho)]
+            assert held
+            assert f_prime_turn(shifted, held[0], rho, 16) < math.sqrt(0.5)
 
 
 class TestMatchingValidate:
