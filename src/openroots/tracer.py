@@ -14,10 +14,12 @@ on a disc holding the step, so the level line is one graph there and
 the step cannot jump to another branch (``_trace_lanes``).  All 4n
 boundary nodes are traced in lockstep on numpy arrays, one lane per
 node, and two lanes stop where one's point lies in the other's
-certified disc, which proves them the two ends of one arc.  Two audits
-run on every solve: the reverse audit (the lanes' partners form an
-involution) and the separation audit (distinct arcs do not merge).  The tests also check the bounded extrema count and the slope
-law along the samples (test_extrema_budget, test_slope_cross_check).
+certified disc, which proves them the two ends of one arc.  Every
+solve runs the separation audit (distinct arcs do not merge), the check
+that can catch a lane strayed to another branch, and the reverse audit
+(the partners handed on form an involution).  The tests also check the
+bounded extrema count and the slope law along the samples
+(test_extrema_budget, test_slope_cross_check).
 
 Steps and tolerances are fixed multiples of the disc radius R, or of
 max(1, R)**n for values of f (the constants below); each function
@@ -252,12 +254,13 @@ def _trace_lanes(prob, nodes, starts):
     from the certificate at u (_REACH, _CAP).
 
     After each step, lanes i and j of one kind meet, and stop, when the
-    test above holds about c, i's point or its previous one (lanes moving
-    towards each other can pass in one step), at rho = sqrt 2 d, d =
-    |z_j - c|.  c's branch then spans every normal chord of the disc
-    within d of c along the tangent, each holding one point of the level
-    set at most, so z_j is on it, and the piece between lies within rho
-    of c.  The meeting also needs:
+    test above holds about c, i's point or its previous one, at rho =
+    sqrt 2 d, d = |z_j - c|; distances against reach / sqrt 2 (a chord
+    past ``reach`` fails on its largest term alone) pick the candidates.
+    c's branch then spans every normal chord of the disc within d of c
+    along the tangent, each holding one point of the level set at most,
+    so z_j is on it, and the piece between lies within rho of c.  The
+    meeting also needs:
 
     - |c| + rho < R - POS_TOL * R: the piece lies inside the circle, so
       both lanes are on one component of the level set in the disc, a
@@ -267,11 +270,14 @@ def _trace_lanes(prob, nodes, starts):
     - d <= _CAP * MAX_STEP * R, so the junction is no longer than a step.
     - Points on the level line, which holds up to rounding only: the
       accept tests do not bound the rounding of b_0.  No test here sees
-      a lane stray to another branch; the reverse and separation audits
-      (compute_matchings) stay for that.
+      a lane stray to another branch; the separation audit
+      (compute_matchings) stays for that.
 
-    Distances against reach / sqrt 2 (a chord past ``reach`` fails on its
-    largest term alone) filter the candidates for the full test.
+    Lanes moving towards each other can pass in one step; the previous
+    point's test is there for them.  That none passes untested is
+    measured (none reached the circle unpaired on gauss corpus seeds
+    0-47), not proven.  Lanes that did would walk on to the circle and
+    raise, not return a wrong matching.
 
     Returns (ends, halves): the partner's start node of each lane, and
     halves[k], the (m, 2) points of lane k from its start node to where
@@ -280,16 +286,13 @@ def _trace_lanes(prob, nodes, starts):
     """
     R = nodes.R
     n = prob.base.degree
-    max_step = R * MAX_STEP
-    min_step = R * MIN_STEP
-    pos_tol = R * POS_TOL
+    max_step, min_step, pos_tol = R * MAX_STEP, R * MIN_STEP, R * POS_TOL
     L = len(starts)
     # the traced field is Re(c f): c = 1 on g-lanes, -i on h-lanes.  Its
     # gradient is conj(c f'), so -val / (c f') is the Newton step
     # -val * grad / |grad|^2 and i conj(c f') / |f'| the unit tangent.
     c = np.array([1.0 if nd.kind == P_KIND else -1j for nd in starts])
-    shifted = prob.shifted()
-    kernel = JetKernel(shifted, L, c)
+    kernel = JetKernel(prob.shifted(), L, c)
     floor = _floor_matrix(kernel)
     weights = np.arange(2.0, n + 1.0)[:, None]  # k, for k = 2..n
     exponents = 1.0 / (weights - 1.0)  # 1 / (k - 1)
@@ -333,9 +336,7 @@ def _trace_lanes(prob, nodes, starts):
     # (test <= limit), certificate sum (<= limit_z), corrector converged
     test = floats(3, L)
     absval, chord, cert_sum = test
-    limit = floats(2, L)
-    limit[0] = ON_CURVE_TOL * _value_scale(prob, R)
-    limit[1] = max_step
+    limit = np.array([[ON_CURVE_TOL * _value_scale(prob, R)], [max_step]])
     passed = np.empty((4, L), dtype=bool)
     ok = np.empty(L, dtype=bool)
     # every step's corrected points and accept mask, from the start nodes
@@ -506,9 +507,10 @@ def trace_curve(prob, field, start, nodes):
 
     Every node of the start's kind is traced at once by the proven
     predictor-corrector of ``_trace_lanes``, and the arc is the start's
-    lane followed by the lane it met, reversed.  The pipeline does not
-    call this; it is kept for library users and for the benchmark's
-    probes, which count its calls and samples.
+    lane followed by the lane it met, reversed.  It raises (StepUnderflow,
+    MatchingInconsistency) when any lane of that kind fails, even where
+    the start's own arc would trace.  The pipeline does not call this; it
+    is kept for library users and for the benchmark's probes.
     """
     if _KIND_FOR_FIELD[field] != start.kind:
         raise ValueError(f"field {field!r} cannot start at a {start.kind}-node")
@@ -620,8 +622,8 @@ def compute_matchings(prob, ns):
     All 4n boundary nodes are traced at once, and each lane stops where
     it meets the lane from the other end of its arc (``_trace_lanes``).
     The reverse audit checks that the partners form an involution, the
-    arc from the lower node index is kept, and the separation audit runs
-    before returning.
+    arc from the lower node index is kept, and the separation audit,
+    which can catch a lane strayed to another branch, runs last.
     """
     starts = ns.of_kind(P_KIND) + ns.of_kind(Q_KIND)
     count = len(starts) // 2

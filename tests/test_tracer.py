@@ -192,16 +192,18 @@ class TestTraceCurve:
             self, monkeypatch):
         # a degree-1 field has no k >= 2 Taylor terms, so its certified
         # radius is infinite: MAX_STEP alone bounds the steps, and each
-        # lane meets its partner within a few capped steps (plus the
-        # first step); on z^2 + 1 within a few dozen
+        # arc, its two halves joined, crosses the disc in a few capped
+        # steps (plus the first step of each lane); on z^2 + 1 in a few
+        # dozen
         for p, most in ((Poly([2 - 1j, 1]),
                          3 + math.ceil(2 / (tracer._CAP * tracer.MAX_STEP))),
                         (Poly([1, 0, 1]), 48)):
             prob = perturb_regular(p)
             ns = locate_boundary_nodes(prob.shifted())
             starts = ns.of_kind("P") + ns.of_kind("Q")
-            _, halves = _trace_lanes(prob, ns, starts)
-            assert max(len(half) for half in halves) <= most
+            ends, halves = _trace_lanes(prob, ns, starts)
+            assert max(len(halves[k]) + len(halves[starts.index(end)])
+                       for k, end in enumerate(ends)) <= most
         # without the cap an infinite step is never accepted
         monkeypatch.setattr(tracer, "MAX_STEP", math.inf)
         monkeypatch.setattr(tracer, "MAX_STEPS", 1000)
