@@ -13,45 +13,49 @@ Route 2 needs just one such circle, and the smallest is best: every arc
 the tracer follows, and every step tolerance, scales with R.  Because the
 certificate holds on every circle outside one that passes, the smallest
 R >= 1 that passes is found by bisection on log R (annulus_radius).
+
+Since arg q is strictly monotone across each bracket, Newton on the angle
+kept inside the bracket finds its node in a few steps; boundary_nodes
+runs all 4n brackets in lockstep, in about four passes of one numpy
+kernel (plus two over the bracket ends and two to check the nodes).
 """
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import BracketFailure, ConvergenceFailure, InterleavingViolation
-from .polycore import eval_poly
+from .polycore import JetKernel, LazyNumpy, Poly
+
+np = LazyNumpy(globals())
 
 P_KIND = "P"
 Q_KIND = "Q"
 
-# relative part of the bisection stop rule, 4 * machine epsilon
-_BISECT_RTOL = 4.0 * sys.float_info.epsilon
+# relative part of the node stop rule, 4 * machine epsilon
+_NEWTON_RTOL = 4.0 * sys.float_info.epsilon
+# lockstep Newton passes before a node still moving is a failure; the
+# midpoint fallback alone resolves any bracket to 1e-12 in about 40
+_MAX_PASSES = 100
 # resolution of annulus_radius's search in log2 R
 _SEARCH_STEP = 1 / 64
 
 
-@dataclass(frozen=True)
-class BoundaryNode:
+class BoundaryNode(namedtuple(
+        "BoundaryNode", "kind index angle asymptote deviation")):
     """One crossing of g = 0 (kind P) or h = 0 (kind Q) with |z| = R.
 
     ``deviation`` is the signed offset angle - asymptote, measured
     before wrapping the angle into [0, 2 pi).
     """
 
-    kind: str
-    index: int
-    angle: float
-    asymptote: float
-    deviation: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NodeSet:
+class NodeSet(namedtuple("NodeSet", "R nodes")):
     """All 4n boundary nodes on |z| = R, sorted by angle."""
 
-    R: float
-    nodes: tuple
+    __slots__ = ()
 
     @property
     def n(self):
@@ -108,68 +112,87 @@ def annulus_radius(p):
     return 2.0 ** hi
 
 
-def _bisect(f, lo, hi, flo):
-    # Sign-change bisection on [lo, hi] with f(lo) = flo: the offset from
-    # lo halves each step, lo moves up while the sign matches flo, and the
-    # midpoint is returned once the half-step drops below
-    # 1e-12 + 4 eps |mid| (100 steps at most).  This is the classic
-    # bisection of the numerical libraries step for step, so the angles
-    # match theirs to the bit (checked against one in the tests).
-    step = hi - lo
-    for _ in range(100):
-        step *= 0.5
-        mid = lo + step
-        fmid = f(mid)
-        if fmid * flo >= 0:
-            lo = mid
-        if fmid == 0 or abs(step) < 1e-12 + _BISECT_RTOL * abs(mid):
-            return mid
-    raise ConvergenceFailure(
-        f"node bisection on [{lo:.6f}, {hi:.6f}] did not converge")
-
-
 def boundary_nodes(p, R):
-    """Locate the 2n P-nodes and 2n Q-nodes on |z| = R by bisection.
+    """Locate the 2n P-nodes and 2n Q-nodes on |z| = R, all at once.
 
     Each node is bracketed between the midpoint angles on either side
     of its asymptote; at a radius from annulus_radius, Rouché's argument
-    proves exactly one node in each bracket.  Angles are resolved to
-    1e-12.
+    proves exactly one node in each bracket.  Safeguarded Newton on the
+    angle (Numerical Recipes' rtsafe) runs in all 4n brackets in lockstep:
+    each bracket shrinks to the sign change, and a Newton point outside
+    it gives way to the midpoint.  A node stops when its step falls below
+    1e-12 + 4 eps |theta| or its field is 0; a last pass checks that the
+    field changes sign across theta +- 1e-12 at every node.
     """
     q = p.monic()
     n = q.degree
     half = math.pi / (4 * n)
-    two_pi = 2.0 * math.pi
+    # q(R w) / R^n on |w| = 1: the signs and Newton steps of q on |z| = R,
+    # with values near 1 where z q'(z) would overflow near R^n = 2^1023
+    kernel = JetKernel(
+        Poly([a * R ** (k - n) for k, a in enumerate(q.coeffs)]), 4 * n)
+    asym = np.array([(2 * i + 1) * math.pi / (2 * n) for i in range(2 * n)]
+                    + [i * math.pi / n for i in range(2 * n)])
+    is_p = np.arange(4 * n) < 2 * n
 
-    def g_at(theta):
-        return eval_poly(q, R * complex(math.cos(theta), math.sin(theta))).real
+    def field(theta):
+        # Re q (P-nodes) or Im q (Q-nodes) at the angles theta, and its
+        # derivative in theta, Re or Im of i z q'(z)
+        z = np.exp(1j * theta)
+        w, dw = kernel(z, rows=2)
+        t = z * dw
+        return np.where(is_p, w.real, w.imag), np.where(is_p, -t.imag, t.real)
 
-    def h_at(theta):
-        return eval_poly(q, R * complex(math.cos(theta), math.sin(theta))).imag
+    def name(bad):
+        j = np.flatnonzero(bad)[0]
+        return j, f"P-node {j}" if j < 2 * n else f"Q-node {j - 2 * n}"
 
-    nodes = []
-    for kind, field in ((P_KIND, g_at), (Q_KIND, h_at)):
-        for i in range(2 * n):
-            if kind == P_KIND:
-                asym = (2 * i + 1) * math.pi / (2 * n)
-            else:
-                asym = i * math.pi / n
-            lo, hi = asym - half, asym + half
-            flo, fhi = field(lo), field(hi)
-            if flo == 0.0 or fhi == 0.0 or (flo > 0) == (fhi > 0):
-                raise BracketFailure(
-                    f"no sign change for {kind}-node {i} in "
-                    f"[{lo:.6f}, {hi:.6f}] at R = {R:.6g}")
-            theta = _bisect(field, lo, hi, flo)
-            nodes.append(BoundaryNode(
-                kind=kind,
-                index=i,
-                angle=theta % two_pi,
-                asymptote=asym,
-                deviation=theta - asym,
-            ))
-    nodes.sort(key=lambda nd: nd.angle)
-    return NodeSet(R=float(R), nodes=tuple(nodes))
+    lo, hi = asym - half, asym + half
+    flo = field(lo)[0]
+    bad = ~(np.sign(flo) * np.sign(field(hi)[0]) < 0)
+    if bad.any():
+        j, node = name(bad)
+        raise BracketFailure(f"no sign change for {node} in [{lo[j]:.6f}, "
+                             f"{hi[j]:.6f}] at R = {R:.6g}")
+    theta = asym
+    moving = np.ones(4 * n, dtype=bool)
+    for _ in range(_MAX_PASSES):
+        f, df = field(theta)
+        bad = moving & ~(np.isfinite(f) & np.isfinite(df))
+        if bad.any():
+            raise ConvergenceFailure(
+                f"non-finite field at {name(bad)[1]} on |z| = {R:.6g}")
+        # lo keeps the sign of the field at the bracket's start
+        at_lo = moving & ((f > 0) == (flo > 0))
+        lo = np.where(at_lo, theta, lo)
+        hi = np.where(moving & ~at_lo, theta, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = theta - f / df
+        tol = 1e-12 + _NEWTON_RTOL * np.abs(theta)
+        # a Newton step below the stop rule is taken even onto an end
+        inside = (np.abs(newton - theta) < tol) | (
+            (lo < newton) & (newton < hi))
+        new = np.where(inside, newton, 0.5 * (lo + hi))
+        done = (f == 0) | (np.abs(new - theta) < tol)
+        theta = np.where(moving & (f != 0), new, theta)
+        moving &= ~done
+        if not moving.any():
+            break
+    else:
+        raise ConvergenceFailure(f"{name(moving)[1]} still moving after "
+                                 f"{_MAX_PASSES} Newton passes")
+    bad = ~(np.sign(field(theta - 1e-12)[0])
+            * np.sign(field(theta + 1e-12)[0]) < 0)
+    if bad.any():
+        j, node = name(bad)
+        raise ConvergenceFailure(f"{node} at {theta[j]:.15f}: no sign change "
+                                 f"within 1e-12 on |z| = {R:.6g}")
+    nodes = sorted(
+        (BoundaryNode(P_KIND if j < 2 * n else Q_KIND, j % (2 * n),
+                      t % (2.0 * math.pi), a, t - a)
+         for j, (t, a) in enumerate(zip(theta.tolist(), asym.tolist()))),
+        key=lambda nd: nd.angle)
+    return NodeSet(float(R), tuple(nodes))
 
 
 def node_label(node):
@@ -200,7 +223,8 @@ def interleaving_check(ns):
 def locate_boundary_nodes(p):
     """The nodes on the circle of annulus_radius, the smallest on which
     Rouché proves that each lies alone in its bracket within 1 degree of
-    its asymptote, so one bisection pass finds them all."""
+    its asymptote, with arg q monotone across it, so a few lockstep
+    Newton passes find them all."""
     ns = boundary_nodes(p, annulus_radius(p))
     interleaving_check(ns)
     return ns

@@ -15,8 +15,8 @@ floor.
 import itertools
 import math
 import time
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from . import annulus as annulus_mod
 from .annulus import P_KIND, Q_KIND
@@ -41,28 +41,27 @@ from .tracer import (
 np = LazyNumpy(globals())
 
 
-@dataclass(frozen=True)
-class BoxND:
+class BoxND(namedtuple("BoxND", "lo hi")):
     """Axis-aligned box; lo[k] < hi[k] for every axis."""
 
-    lo: tuple
-    hi: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", tuple(float(v) for v in self.lo))
-        object.__setattr__(self, "hi", tuple(float(v) for v in self.hi))
-        if len(self.lo) != len(self.hi) or not self.lo:
+    def __new__(cls, lo, hi):
+        lo = tuple(float(v) for v in lo)
+        hi = tuple(float(v) for v in hi)
+        if len(lo) != len(hi) or not lo:
             raise ValueError("lo and hi must be equally long and non-empty")
-        if any(a >= b for a, b in zip(self.lo, self.hi)):
+        if any(a >= b for a, b in zip(lo, hi)):
             raise ValueError("need lo[k] < hi[k] on every axis")
+        return super().__new__(cls, lo, hi)
 
     @property
     def dim(self):
         return len(self.lo)
 
 
-@dataclass(frozen=True)
-class SeparatedPair:
+class SeparatedPair(namedtuple(
+        "SeparatedPair", "sigma_index tau_index sigma_labels tau_labels")):
     """A g-arc and an h-arc whose boundary nodes interleave.
 
     sigma_index / tau_index are the smaller node indices of the two
@@ -70,10 +69,7 @@ class SeparatedPair:
     P_i -> 2i+1) of the four endpoints.
     """
 
-    sigma_index: int
-    tau_index: int
-    sigma_labels: tuple
-    tau_labels: tuple
+    __slots__ = ()
 
 
 def _between(a, b, total):
@@ -356,27 +352,16 @@ def _polish(p, z, tol):
         return root, "floor", floor
 
 
-@dataclass(frozen=True)
-class PipelineReport:
+class PipelineReport(namedtuple(
+        "PipelineReport", "root residual stop floor nodes arcs match_p match_q"
+        " separated crossing eps1 eps2 timings")):
     """Everything the full run produced (consumed by the CLI/SVG).
 
     ``stop`` says which bound the root's residual meets: "tol", or
     "floor", the rounding floor ``floor`` (``_residual_bound``) at the root.
     """
 
-    root: complex
-    residual: float
-    stop: str
-    floor: float
-    nodes: object
-    arcs: list
-    match_p: object
-    match_q: object
-    separated: SeparatedPair
-    crossing: tuple
-    eps1: float
-    eps2: float
-    timings: dict
+    __slots__ = ()
 
 
 @contextmanager

@@ -9,7 +9,7 @@ the map G w = g(x, w(x)) is a 1/2-contraction of the ball ||w|| <= s and
 its fixed point solves f(x, w(x)) = 0.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ContractionStall, ConvergenceFailure, NoConvergentRadii
 
@@ -151,14 +151,10 @@ def compose(f, u, order):
     return TruncatedSeries(acc.coeffs, order)
 
 
-@dataclass(frozen=True)
-class RadiiRecipe:
+class RadiiRecipe(namedtuple("RadiiRecipe", "r s B L")):
     """Radii (r, s) with the contraction bounds B <= s/2 and L <= 1/2."""
 
-    r: float
-    s: float
-    B: float
-    L: float
+    __slots__ = ()
 
 
 def choose_radii(f, r_init=1.0):

@@ -27,7 +27,7 @@ works them out from nodes.R and prob.base.degree.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .annulus import P_KIND, Q_KIND
 from .errors import (
@@ -72,8 +72,7 @@ OTHER_FLOOR = 1e-4  # separation audit: the other field counts as zero
 MAX_STEPS = 500_000  # step budget of one lockstep trace
 
 
-@dataclass(frozen=True)
-class PerturbedProblem:
+class PerturbedProblem(namedtuple("PerturbedProblem", "base eps1 eps2")):
     """The shifted problem g = eps1, h = eps2, i.e. f(z) = eps1 + i eps2.
 
     ``base`` is stored monic so the boundary-node machinery and the
@@ -81,9 +80,7 @@ class PerturbedProblem:
     at distance > margin from the traced levels.
     """
 
-    base: Poly
-    eps1: float
-    eps2: float
+    __slots__ = ()
 
     def shifted(self):
         """The polynomial f - (eps1 + i eps2), whose g/h zero sets are
@@ -92,14 +89,11 @@ class PerturbedProblem:
         return Poly((c0,) + self.base.coeffs[1:])
 
 
-@dataclass(frozen=True)
-class Arc:
-    """One traced component: samples from start node to end node."""
+class Arc(namedtuple("Arc", "field samples start_node end_node")):
+    """One traced component: samples (an (m, 2) array) from start node
+    to end node."""
 
-    field: str
-    samples: "np.ndarray"
-    start_node: object
-    end_node: object
+    __slots__ = ()
 
     @property
     def length(self):
@@ -110,11 +104,10 @@ class Arc:
         return (self.start_node.index, self.end_node.index)
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(namedtuple("Matching", "pairs")):
     """Fixed-point-free involution on node indices [0, 2n)."""
 
-    pairs: tuple
+    __slots__ = ()
 
     def validate(self, count=None, name="matching"):
         """Returns self when pairs is a fixed-point-free involution on

@@ -15,7 +15,8 @@ from openroots import (
     locate_boundary_nodes,
     reich_radius,
 )
-from openroots.annulus import _bisect, _rouche_certified
+from openroots import annulus
+from openroots.annulus import _rouche_certified
 from openroots.errors import (
     BracketFailure,
     ConvergenceFailure,
@@ -173,30 +174,124 @@ class TestBoundaryNodes:
         with pytest.raises(BracketFailure):
             boundary_nodes(Poly([0, 0, 10, 1]), 1.0)
 
-    def test_bisection_matches_scipy_bitwise(self):
-        optimize = pytest.importorskip("scipy.optimize")
+    def test_nodes_match_scipy_bisection(self):
         rng = np.random.default_rng(52)
         polys = [Poly([-1, 0, 0, 1]), Poly([1, 1, 1]),
                  random_poly(rng, 5), random_poly(rng, 8, monic=False)]
         for p in polys:
             ns = locate_boundary_nodes(p)
-            q, n, R = p.monic(), p.degree, ns.R
+            field = node_field(p, ns.R)
             for nd in ns.nodes:
-                part = (lambda w: w.real) if nd.kind == "P" else \
-                    (lambda w: w.imag)
-                field = lambda t, part=part: part(eval_poly(
-                    q, R * complex(math.cos(t), math.sin(t))))
-                lo = nd.asymptote - math.pi / (4 * n)
-                hi = nd.asymptote + math.pi / (4 * n)
-                want = optimize.bisect(field, lo, hi, xtol=1e-12)
-                assert _bisect(field, lo, hi, field(lo)) == want
-                assert nd.deviation == want - nd.asymptote
-                assert nd.angle == want % (2.0 * math.pi)
+                theta = nd.asymptote + nd.deviation
+                assert abs(theta - scipy_node(p, ns.R, nd)) <= 2e-12
+                assert nd.angle == theta % (2.0 * math.pi)
+                # the scalar Horner field changes sign across the node
+                below = field(nd, nd.angle - 1e-12)
+                above = field(nd, nd.angle + 1e-12)
+                assert below * above < 0
 
-    def test_bisection_budget_exhausted(self):
-        # a 2e30-wide bracket cannot shrink below 1e-12 in 100 halvings
-        with pytest.raises(ConvergenceFailure):
-            _bisect(lambda t: t - 1e-3, -1e30, 1e30, -1e30)
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_non_finite_kernel_row_is_named(self, monkeypatch, row):
+        # a NaN in P-node 3's value or slope in the first Newton pass,
+        # after the two bracket passes, stops the solve and names it
+        passes = []
+
+        def poison(out):
+            passes.append(1)
+            if len(passes) == 3:
+                out[row, 3] = complex("nan")
+        monkeypatch.setattr(annulus, "JetKernel", tampered_kernel(poison))
+        with pytest.raises(ConvergenceFailure, match="P-node 3 "):
+            boundary_nodes(Poly([1, 1, 1]), 2.0)
+
+    def test_zero_slope_falls_back_to_bisection(self, monkeypatch):
+        # Newton steps are infinite, so every step is the midpoint: about
+        # 40 passes, and the same nodes
+        p = Poly([1, 1, 1])
+        want = boundary_nodes(p, 2.0)
+        passes = []
+
+        def flatten(out):
+            passes.append(1)
+            out[1] = 0
+
+        monkeypatch.setattr(annulus, "JetKernel", tampered_kernel(flatten))
+        got = boundary_nodes(p, 2.0)
+        assert len(passes) > 30
+        for a, b in zip(want.nodes, got.nodes):
+            assert a[:2] == b[:2] and abs(a.angle - b.angle) <= 2e-12
+
+    def test_pass_cap_names_moving_node(self, monkeypatch):
+        monkeypatch.setattr(annulus, "_MAX_PASSES", 1)
+        with pytest.raises(ConvergenceFailure, match="still moving"):
+            boundary_nodes(Poly([1, 1, 1]), 2.0)
+
+    def test_false_convergence_fails_the_sign_check(self, monkeypatch):
+        # a slope 1e12 times too steep makes every first Newton step fall
+        # below 1e-12, far from the node, and the final check catches it
+        def steepen(out):
+            out[1] *= 1e12
+        monkeypatch.setattr(annulus, "JetKernel", tampered_kernel(steepen))
+        with pytest.raises(ConvergenceFailure,
+                           match="no sign change within 1e-12"):
+            boundary_nodes(Poly([1, 1, 1]), 2.0)
+
+    def test_few_newton_passes(self, monkeypatch):
+        # TestDeviations' polynomials and 20 random ones of degree 2-16;
+        # 2 bracket passes and 2 check passes surround the Newton passes
+        polys = [Poly([-5, 1]), Poly([1, 0, 1]), Poly([-1, 0, 1]),
+                 Poly([-1, 0, 0, 1]), Poly([-1, 0, 0, 0, 1]),
+                 Poly([2, -3, 0, 1]), Poly([1, -1, 0, 0, 0, 1]),
+                 random_poly(np.random.default_rng(53), 6), Poly([1, 1, 1]),
+                 random_poly(np.random.default_rng(54), 4)]
+        rng = np.random.default_rng(55)
+        polys += [random_poly(rng, int(n), scale=float(s), monic=False)
+                  for n, s in zip(rng.integers(2, 17, size=20),
+                                  10.0 ** rng.integers(-2, 3, size=20))]
+        passes = []
+        monkeypatch.setattr(annulus, "JetKernel",
+                            tampered_kernel(lambda out: passes.append(1)))
+        for p in polys:
+            R = annulus_radius(p)
+            del passes[:]
+            ns = boundary_nodes(p, R)
+            assert len(passes) - 4 <= 8
+            for nd in ns.nodes:
+                theta = nd.asymptote + nd.deviation
+                assert abs(theta - scipy_node(p, R, nd)) <= 2e-12
+
+
+def node_field(p, R):
+    """The scalar Horner field of a node's kind at an angle."""
+    q = p.monic()
+
+    def field(nd, t):
+        w = eval_poly(q, R * complex(math.cos(t), math.sin(t)))
+        return w.real if nd.kind == "P" else w.imag
+    return field
+
+
+def scipy_node(p, R, nd):
+    """The node in its bracket by scipy's bisection, to xtol 1e-12."""
+    optimize = pytest.importorskip("scipy.optimize")
+    half = math.pi / (4 * p.degree)
+    field = node_field(p, R)
+    return optimize.bisect(lambda t: field(nd, t), nd.asymptote - half,
+                           nd.asymptote + half, xtol=1e-12)
+
+
+def tampered_kernel(tamper):
+    """annulus.JetKernel, with tamper(rows) applied to every result."""
+    base = annulus.JetKernel
+
+    class Tampered(base):
+        __slots__ = ()
+
+        def __call__(self, zs, rows=None):
+            out = base.__call__(self, zs, rows)
+            tamper(out)
+            return out
+    return Tampered
 
 
 class TestInterleaving:

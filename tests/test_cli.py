@@ -25,6 +25,15 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_import_loads_no_dataclasses_or_numpy(self):
+        code = ("import sys, openroots, openroots.cli; "
+                "print(sorted(m for m in ('dataclasses', 'numpy') "
+                "if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_no_numpy_on_descent_path(self):
         code = ("import sys, openroots; "
                 "openroots.all_roots(openroots.Poly([-1, 0, 0, 1])); "
