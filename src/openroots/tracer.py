@@ -226,6 +226,8 @@ def _floor_matrix(kernel):
 def _trace_lanes(prob, nodes, starts):
     """Trace the curves from every node of ``starts`` at once, in lockstep,
     until each lane meets the lane from the other end of its arc.
+    ``starts`` is K blocks of H nodes, one block per kind, such as every
+    P-node then every Q-node; any other layout raises ValueError.
 
     Lane k starts at starts[k] and traces g (P-node) or h (Q-node); its
     state (position z and the one before, tangent, step h, the step
@@ -249,7 +251,9 @@ def _trace_lanes(prob, nodes, starts):
     After each step, lanes i and j of one kind meet, and stop, when the
     test above holds about c, i's point or its previous one, at rho =
     sqrt 2 d, d = |z_j - c|; distances against reach / sqrt 2 (a chord
-    past ``reach`` fails on its largest term alone) pick the candidates.
+    past ``reach`` fails on its largest term alone) pick the candidates
+    from a (2, K, H, H) block, each lane against the points and previous
+    points of its kind, in the meeting loop's order (centre, then lane).
     c's branch then spans every normal chord of the disc within d of c
     along the tangent, each holding one point of the level set at most,
     so z_j is on it, and the piece between lies within rho of c.  The
@@ -281,6 +285,12 @@ def _trace_lanes(prob, nodes, starts):
     n = prob.base.degree
     max_step, min_step, pos_tol = R * MAX_STEP, R * MIN_STEP, R * POS_TOL
     L = len(starts)
+    kinds = [nd.kind for nd in starts]
+    K = len(set(kinds)) or 1
+    H = L // K
+    if not H or kinds != [k for k in kinds[::H] for _ in range(H)]:
+        raise ValueError("starts must be one block of equal size per kind, "
+                         f"as P-nodes then Q-nodes, not {''.join(kinds)}")
     # the traced field is Re(c f): c = 1 on g-lanes, -i on h-lanes.  Its
     # gradient is conj(c f'), so -val / (c f') is the Newton step
     # -val * grad / |grad|^2 and i conj(c f') / |f'| the unit tangent.
@@ -295,8 +305,8 @@ def _trace_lanes(prob, nodes, starts):
     def floats(*shape):
         return np.empty(shape or (L,))
 
-    halfh, nrm, fac, rr, cos, sgrad = (floats() for _ in range(6))
-    pred, dz, diff, tn = (np.empty(L, dtype=complex) for _ in range(4))
+    halfh, nrm, fac, rr, sgrad = (floats() for _ in range(5))
+    dz, diff, tn = (np.empty(L, dtype=complex) for _ in range(3))
     tn_imag = tn.imag
     pending, flag, rej = (np.empty(L, dtype=bool) for _ in range(3))
     # views are taken once: the loop below is bound by its numpy calls
@@ -319,12 +329,12 @@ def _trace_lanes(prob, nodes, starts):
     cert = floats(n + 1, 2 * L)
     cert_z = cert[:, :L]
     limit_z, terms_z = cert_z[0], cert_z[1:n]
-    gap = np.empty((2 * L, L), dtype=complex)
-    dist = floats(2 * L, L)
-    near = np.empty((2 * L, L), dtype=bool)
-    kind = np.array([nd.kind for nd in starts] * 2)
-    pairable = kind[:, None] == kind[None, :L]
-    pairable[np.arange(2 * L), np.arange(2 * L) % L] = False
+    lanes, centres = z.reshape(1, K, 1, H), centre.reshape(2, K, H, 1)
+    radius = cert[n].reshape(2, K, H, 1)
+    gap = np.empty((2, K, H, H), dtype=complex)
+    dist = floats(2, K, H, H)
+    near = np.empty((2, K, H, H), dtype=bool)
+    pairable = ~np.eye(H, dtype=bool)  # not a lane's own centres
     # one row of ``passed`` per accept test: on-curve value and chord
     # (test <= limit), certificate sum (<= limit_z), corrector converged
     test = floats(3, L)
@@ -355,25 +365,28 @@ def _trace_lanes(prob, nodes, starts):
     def meet():
         # the candidates (centre row, lane j) that pass the meeting test,
         # in row order: every lane's point before any previous point
-        rows, js = np.nonzero(near)
-        d = dist[rows, js]
+        flat = np.flatnonzero(near)
+        rows, d = flat // H, dist.ravel()[flat]
         rho = d * math.sqrt(2.0)
-        pw = np.multiply.accumulate(np.broadcast_to(rho, (n - 1, len(rho))),
-                                    axis=0)
+        pw = np.repeat(rho[None], n - 1, axis=0)
+        np.multiply.accumulate(pw, axis=0, out=pw)
         good = ((d <= _CAP * max_step)
                 & (np.abs(centre[rows]) + rho < R - pos_tol)
                 & (np.sum(pw * cert[1:n, rows], axis=0) <= cert[0, rows]))
+        js = rows % L - rows % H + flat % H  # column flat % H of row's block
+        met = []
         for ci, j in zip(rows[good].tolist(), js[good].tolist()):
             i = ci % L
             if partner[i] == j:
                 continue
             if partner[i] is not None or partner[j] is not None:
                 raise MatchingInconsistency(
-                    f"{kind[i]}-lanes from nodes {starts[i].index} and "
+                    f"{kinds[i]}-lanes from nodes {starts[i].index} and "
                     f"{starts[j].index} meet, but one of them met another")
             partner[i], partner[j], drop[i] = j, i, ci >= L
-            active[[i, j]] = False
-            z[[i, j]] = prev[[i, j]] = np.nan
+            met += (i, j)
+        active[met] = False
+        z[met] = prev[met] = np.nan
 
     with np.errstate(all="ignore"):
         certify(z)
@@ -383,13 +396,12 @@ def _trace_lanes(prob, nodes, starts):
 
         for _ in range(MAX_STEPS):
             np.multiply(h, 0.5, out=halfh)
-            np.multiply(t, h, out=pred)
-            pred += z
+            np.multiply(t, h, out=u)
+            u += z
 
             # damped Newton along the gradient, at most 5 iterations: a
             # lane stays ``pending`` until it converges (a zero gradient
             # makes u non-finite, failing the tests)
-            np.copyto(u, pred)
             np.copyto(pending, active)
             for _ in range(5):
                 kernel(u, 2)
@@ -443,10 +455,10 @@ def _trace_lanes(prob, nodes, starts):
             np.copyto(cert[:, L:], cert_z, where=ok)
             np.copyto(z, u, where=ok)
             np.copyto(cert_z, cert_u, where=ok)
-            # the new unit tangent, oriented along the previous one
+            # the new unit tangent, oriented along the previous one: the
+            # sign of Im(b_1 t) is that of its cosine with t
             np.multiply(der, t, out=tn)
-            np.divide(tn_imag, mags[0], out=cos)
-            np.copysign(mags[0], cos, out=sgrad)
+            np.copysign(mags[0], tn_imag, out=sgrad)
             np.conjugate(der, out=tn)
             tn *= 1j
             np.divide(tn, sgrad, out=t, where=ok)
@@ -457,9 +469,9 @@ def _trace_lanes(prob, nodes, starts):
             np.minimum(h, _CAP * max_step, out=h)
             np.maximum(h, min_step, out=h)
 
-            np.subtract(z, centre[:, None], out=gap)
+            np.subtract(lanes, centres, out=gap)
             np.abs(gap, out=dist)
-            np.less_equal(dist, cert[n, :, None] * math.sqrt(0.5), out=near)
+            np.less_equal(dist, radius * math.sqrt(0.5), out=near)
             near &= pairable
             if np.count_nonzero(near):
                 meet()
@@ -535,15 +547,17 @@ def index_runs(lo, hi):
 
 
 def _close_pairs(arcs, tol):
-    """Near sample pairs between arcs, found on a uniform grid.
+    """Near sample pairs between arcs, found on four shifted grids.
 
     ``arcs`` is a list of (m, 2) sample arrays.  For each sample k of arc
     j and each arc i < j whose nearest sample to it lies closer than
     ``tol``, one row (i, j, k, dist, m): m is the index in arc i of that
     nearest sample, the lowest one on ties.  Rows come sorted by
-    (i, j, k).  Cells are a hair wider than ``tol`` (so rounding in
-    x / cell cannot put two points closer than tol two cells apart),
-    which makes the 3 x 3 cell neighbourhood an exact search.
+    (i, j, k).  With s = tol (1 + 1e-6), grid o (o = 0 or 1 per axis)
+    has the cells (q + o) // 2, q = floor(x / s).  Samples closer than
+    tol have q at most 1 apart per axis (the 1e-6 covers the rounding of
+    x / s while |x| / tol is far below 1e9), and the o of the lower q's
+    parity puts both in one cell: the four grids are an exact search.
     """
     empty = np.zeros(0, dtype=np.int64)
     if len(arcs) < 2:
@@ -552,32 +566,28 @@ def _close_pairs(arcs, tol):
     sizes = [len(a) for a in arcs]
     arc = np.repeat(np.arange(len(arcs)), sizes)
     local = np.concatenate([np.arange(m) for m in sizes])
-    cells = np.floor(pts / (tol * (1.0 + 1e-6))).astype(np.int64)
-    cells -= cells.min(axis=0) - 1  # >= 1, so every neighbour key is >= 0
-    width = int(cells[:, 1].max()) + 2
-    cell = cells[:, 0] * width + cells[:, 1]
-    # sort by (cell, arc): the samples of arcs < j in one cell form a run
-    key = cell * len(arcs) + arc
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-
-    src_parts, cand_parts, dist_parts = [], [], []
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            first = (cell + dx * width + dy) * len(arcs)
-            src, pos = index_runs(np.searchsorted(sorted_key, first),
-                                  np.searchsorted(sorted_key, first + arc))
-            cand = order[pos]
-            diff = pts[src] - pts[cand]
-            dist = np.sqrt(diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1])
-            close = dist < tol
-            src_parts.append(src[close])
-            cand_parts.append(cand[close])
-            dist_parts.append(dist[close])
-    src = np.concatenate(src_parts)
-    cand = np.concatenate(cand_parts)
-    dist = np.concatenate(dist_parts)
-    # per (i, j, k) the nearest candidate, lowest sample index on ties
+    q = np.floor(pts.T / (tol * (1.0 + 1e-6))).astype(np.int64)
+    q -= q.min(axis=1, keepdims=True)
+    # a row of cells per grid, keys sorted by (cell, grid, arc): the
+    # samples of arcs < arc[src] in src's cell run from the cell's first
+    # key to the first key of src's arc
+    width = int(q[1].max()) + 2
+    cell = ((q[0] + [[0], [0], [1], [1]]) >> 1) * width + (
+        (q[1] + [[0], [1], [0], [1]]) >> 1)
+    key = (cell * 4 + [[0], [1], [2], [3]]) * len(arcs) + arc
+    order = np.argsort(key, axis=None)
+    sorted_key = np.take(key, order)
+    at = np.arange(len(order))
+    lo, hi = (np.maximum.accumulate(np.where(np.concatenate(
+        ([True], ids[1:] != ids[:-1])), at, 0))
+        for ids in (sorted_key // len(arcs), sorted_key))
+    src, cand = (order[r] % len(pts) for r in index_runs(lo, hi))
+    diff = pts[src] - pts[cand]
+    dist = np.sqrt(diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1])
+    close = dist < tol
+    src, cand, dist = src[close], cand[close], dist[close]
+    # per (i, j, k) the nearest candidate, lowest sample index on ties (a
+    # pair sharing cells on several grids comes once per grid)
     rank = np.lexsort((local[cand], dist, local[src], arc[src], arc[cand]))
     i, j, k = arc[cand][rank], arc[src][rank], local[src][rank]
     head = np.ones(len(rank), dtype=bool)

@@ -412,6 +412,27 @@ class TestLockstep:
                                  "unpaired"):
             _trace_lanes(prob, ns, (start,))
 
+    def test_start_layout(self):
+        # one block of equal size per kind traces, in either order; starts
+        # that interleave the kinds, or give them blocks of unequal size,
+        # raise and name the layout expected
+        prob = perturb_regular(matching_suite()[4])
+        ns = locate_boundary_nodes(prob.shifted())
+        ps, qs = ns.of_kind("P"), ns.of_kind("Q")
+        ends, _ = _trace_lanes(prob, ns, ps + qs)
+        assert _trace_lanes(prob, ns, qs + ps)[0] == ends[len(ps):] + \
+            ends[:len(ps)]
+        assert _trace_lanes(prob, ns, qs)[0] == ends[len(ps):]
+        with pytest.raises(MatchingInconsistency, match="unpaired"):
+            _trace_lanes(prob, ns, ps[:1])
+        half = len(ps) // 2
+        for starts in (tuple(x for pq in zip(ps, qs) for x in pq),
+                       ps[:half] + qs[:half] + ps[half:] + qs[half:],
+                       ps + qs[:-1], ps[:1] + qs):
+            with pytest.raises(ValueError,
+                               match="one block of equal size per kind"):
+                _trace_lanes(prob, ns, starts)
+
     def test_arcs_are_lower_index_lanes(self):
         prob = perturb_regular(matching_suite()[4])
         ns = locate_boundary_nodes(prob.shifted())
@@ -661,3 +682,57 @@ class TestClosePairs:
         for arcs in ([walk], []):
             found = _close_pairs(arcs, 1.0)
             assert all(len(part) == 0 for part in found)
+
+
+def planted_pair(rng, centre, s, u):
+    # two samples 5u apart that straddle a half-cell edge (a multiple of
+    # the cell s) in x, in y, or both, centred on it or starting one grid
+    # step before it; u has at most 21 significant bits and the
+    # coordinates lie on its last bit's grid, so the differences (5u, 0),
+    # (0, 5u), (3u, 4u), (3u, -4u) and their squares are exact, and the
+    # distance the search computes is exactly 5u
+    grid = math.ldexp(1.0, math.frexp(u)[1] - 21)
+    step = [(5, 0), (0, 5), (3, 4), (3, -4)][rng.integers(4)]
+    centred = rng.integers(2)
+    a = [round((s * math.floor(c / s + rng.integers(-3, 4))
+                - (0.5 * d * u if centred else np.sign(d) * grid)) / grid)
+         * grid for c, d in zip(centre, step)]
+    b = [x + d * u for x, d in zip(a, step)]
+    return np.array([a]), np.array([b])
+
+
+class TestClosePairsProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(1.0, 400.0),
+           log_frac=st.floats(-6.0, math.log10(0.3)),
+           count=st.integers(0, 6),
+           spread=st.booleans(),
+           plants=st.integers(0, 4),
+           at_tol=st.booleans())
+    def test_matches_brute_force(self, seed, scale, log_frac, count, spread,
+                                 plants, at_tol):
+        # random walks about one point at coordinate scale ``scale``, with
+        # steps about tol (pairs within tol between arcs are common) or
+        # about the scale; planted pairs exactly tol or one ulp under tol
+        # apart cross half-cell edges, where a grid search can miss them
+        rng = np.random.default_rng(seed)
+        mant, exp = math.frexp(10.0 ** log_frac * scale / 5)
+        u = math.ldexp(round(mant * 2**20), exp - 20)
+        gap = 5 * u
+        tol = gap if at_tol else np.nextafter(gap, np.inf)
+        centre = scale * rng.uniform(-1.0, 1.0, 2)
+        walk_step = 0.05 * scale if spread else 0.7 * tol
+        arcs = [centre + 4 * tol * rng.normal(size=2) + np.cumsum(
+                    rng.normal(scale=walk_step, size=(m, 2)), axis=0)
+                for m in rng.integers(1, 60, size=count)]
+        if count >= 2:
+            for _ in range(plants):
+                i, j = sorted(rng.choice(count, 2, replace=False))
+                a, b = planted_pair(rng, centre, tol * (1.0 + 1e-6), u)
+                arcs[i] = np.concatenate((arcs[i], a))
+                arcs[j] = np.concatenate((arcs[j], b))
+        want = brute_close_pairs(arcs, tol)
+        assert as_rows(_close_pairs(arcs, tol)) == want
+        if plants and count >= 2 and not at_tol:
+            assert want
